@@ -55,7 +55,9 @@ std::string order_at(const core::ParticleSystem& ps, double t) {
   });
   std::vector<std::string> names;
   for (const size_t i : idx) names.push_back(util::strf("%zu", i));
-  return "(" + util::join(names, ",") + ")";
+  std::string order = "(";
+  order.append(util::join(names, ",")).append(")");
+  return order;
 }
 
 }  // namespace

@@ -6,71 +6,53 @@ namespace coolopt::service {
 
 ChaosInjector::ChaosInjector(const ChaosOptions& options)
     : options_(options),
-      drop_rng_(util::Rng(options.seed).fork("chaos.drop_connection")),
-      delay_rng_(util::Rng(options.seed).fork("chaos.delay_read")),
-      truncate_rng_(util::Rng(options.seed).fork("chaos.truncate_write")),
-      stall_rng_(util::Rng(options.seed).fork("chaos.stall_solve")) {}
+      drop_(util::Rng(options.seed).fork("chaos.drop_connection")),
+      delay_(util::Rng(options.seed).fork("chaos.delay_read")),
+      truncate_(util::Rng(options.seed).fork("chaos.truncate_write")),
+      stall_(util::Rng(options.seed).fork("chaos.stall_solve")) {}
+
+bool ChaosInjector::Fault::fire(double pct) {
+  bool hit = false;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    hit = rng.chance(pct / 100.0);
+  }
+  if (hit) fired.fetch_add(1, std::memory_order_relaxed);
+  return hit;
+}
 
 bool ChaosInjector::drop_connection() {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(drop_mu_);
-    fire = drop_rng_.chance(options_.drop_connection_pct / 100.0);
-  }
-  if (fire) {
-    dropped_connections_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.dropped_connections");
-  }
-  return fire;
+  if (!drop_.fire(options_.drop_connection_pct)) return false;
+  obs::count("service.chaos.dropped_connections");
+  return true;
 }
 
 bool ChaosInjector::delay_read(uint64_t& delay_ms) {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(delay_mu_);
-    fire = delay_rng_.chance(options_.delay_read_pct / 100.0);
-  }
-  if (fire) {
-    delay_ms = options_.delay_read_ms;
-    delayed_reads_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.delayed_reads");
-  }
-  return fire;
+  if (!delay_.fire(options_.delay_read_pct)) return false;
+  delay_ms = options_.delay_read_ms;
+  obs::count("service.chaos.delayed_reads");
+  return true;
 }
 
 bool ChaosInjector::truncate_write() {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(truncate_mu_);
-    fire = truncate_rng_.chance(options_.truncate_write_pct / 100.0);
-  }
-  if (fire) {
-    truncated_writes_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.truncated_writes");
-  }
-  return fire;
+  if (!truncate_.fire(options_.truncate_write_pct)) return false;
+  obs::count("service.chaos.truncated_writes");
+  return true;
 }
 
 bool ChaosInjector::stall_solve(uint64_t& stall_ms) {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(stall_mu_);
-    fire = stall_rng_.chance(options_.stall_solve_pct / 100.0);
-  }
-  if (fire) {
-    stall_ms = options_.stall_solve_ms;
-    stalled_solves_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.stalled_solves");
-  }
-  return fire;
+  if (!stall_.fire(options_.stall_solve_pct)) return false;
+  stall_ms = options_.stall_solve_ms;
+  obs::count("service.chaos.stalled_solves");
+  return true;
 }
 
 ChaosInjector::Counters ChaosInjector::counters() const {
   Counters c;
-  c.dropped_connections = dropped_connections_.load(std::memory_order_relaxed);
-  c.delayed_reads = delayed_reads_.load(std::memory_order_relaxed);
-  c.truncated_writes = truncated_writes_.load(std::memory_order_relaxed);
-  c.stalled_solves = stalled_solves_.load(std::memory_order_relaxed);
+  c.dropped_connections = drop_.fired.load(std::memory_order_relaxed);
+  c.delayed_reads = delay_.fired.load(std::memory_order_relaxed);
+  c.truncated_writes = truncate_.fired.load(std::memory_order_relaxed);
+  c.stalled_solves = stall_.fired.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -69,19 +69,21 @@ class ChaosInjector {
   const ChaosOptions& options() const { return options_; }
 
  private:
+  /// One fault's own seeded stream, drawn under its lock, and the count
+  /// of faults it fired.
+  struct Fault {
+    explicit Fault(util::Rng stream) : rng(stream) {}
+    bool fire(double pct);
+    std::mutex mu;
+    util::Rng rng;
+    std::atomic<uint64_t> fired{0};
+  };
+
   ChaosOptions options_;
-  std::mutex drop_mu_;
-  std::mutex delay_mu_;
-  std::mutex truncate_mu_;
-  std::mutex stall_mu_;
-  util::Rng drop_rng_;
-  util::Rng delay_rng_;
-  util::Rng truncate_rng_;
-  util::Rng stall_rng_;
-  std::atomic<uint64_t> dropped_connections_{0};
-  std::atomic<uint64_t> delayed_reads_{0};
-  std::atomic<uint64_t> truncated_writes_{0};
-  std::atomic<uint64_t> stalled_solves_{0};
+  Fault drop_;
+  Fault delay_;
+  Fault truncate_;
+  Fault stall_;
 };
 
 }  // namespace coolopt::service

@@ -21,15 +21,9 @@ namespace coolopt::service {
 
 ServiceClient::~ServiceClient() { close(); }
 
-ServiceClient::ServiceClient(ServiceClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      buffer_(std::move(other.buffer_)),
-      error_(std::move(other.error_)),
-      host_(std::move(other.host_)),
-      port_(other.port_),
-      timeout_ms_(other.timeout_ms_),
-      timed_out_(other.timed_out_),
-      last_attempts_(other.last_attempts_) {}
+ServiceClient::ServiceClient(ServiceClient&& other) noexcept {
+  *this = std::move(other);
+}
 
 ServiceClient& ServiceClient::operator=(ServiceClient&& other) noexcept {
   if (this != &other) {
@@ -128,14 +122,10 @@ std::optional<std::string> ServiceClient::recv_line() {
     if (timeout_ms_ > 0) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        timed_out_ = true;
-        error_ = util::strf("timeout after %llu ms waiting for a response",
-                            static_cast<unsigned long long>(timeout_ms_));
-        return std::nullopt;
-      }
       pollfd pfd{fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+      const int ready = left.count() <= 0
+                            ? 0
+                            : ::poll(&pfd, 1, static_cast<int>(left.count()));
       if (ready < 0) {
         if (errno == EINTR) continue;
         error_ = util::strf("poll: %s", std::strerror(errno));
@@ -168,22 +158,6 @@ std::optional<std::string> ServiceClient::call(std::string_view line) {
   return recv_line();
 }
 
-bool ServiceClient::idempotent(Verb verb) {
-  switch (verb) {
-    case Verb::kPing:
-    case Verb::kPlan:
-    case Verb::kFleetplan:
-    case Verb::kMeasure:
-    case Verb::kSweep:
-    case Verb::kHealth:
-      return true;
-    case Verb::kInject:
-    case Verb::kSubscribe:
-      return false;
-  }
-  return false;
-}
-
 std::optional<std::string> ServiceClient::call_with_retry(
     const WireRequest& request) {
   return call_with_retry(request, RetryPolicy{});
@@ -193,7 +167,7 @@ std::optional<std::string> ServiceClient::call_with_retry(
     const WireRequest& request, const RetryPolicy& policy) {
   const std::string line = encode_request(request);
   const int attempts =
-      idempotent(request.verb) ? std::max(1, policy.attempts) : 1;
+      verb_spec(request.verb).idempotent ? std::max(1, policy.attempts) : 1;
   util::Rng jitter = util::Rng(policy.seed).fork("client.retry");
   last_attempts_ = 0;
   for (int attempt = 1; attempt <= attempts; ++attempt) {

@@ -78,10 +78,10 @@ class ServiceClient {
 
   /// Encodes and calls `request`, reconnecting (to the last connect()
   /// address) and retrying on EOF, error, or timeout — but only for
-  /// idempotent verbs; non-idempotent requests get exactly one attempt
-  /// regardless of the policy. A failed exchange closes the connection
-  /// first: after a timeout or mid-frame EOF the stream position is
-  /// unknowable, so resuming it could desync framing.
+  /// idempotent verbs (VerbSpec::idempotent); non-idempotent requests get
+  /// exactly one attempt regardless of the policy. A failed exchange
+  /// closes the connection first: after a timeout or mid-frame EOF the
+  /// stream position is unknowable, so resuming it could desync framing.
   std::optional<std::string> call_with_retry(const WireRequest& request,
                                              const RetryPolicy& policy);
   /// call_with_retry with the default RetryPolicy.
@@ -89,10 +89,6 @@ class ServiceClient {
 
   /// Attempts consumed by the last call_with_retry (1 == first try won).
   int last_attempts() const { return last_attempts_; }
-
-  /// Pure reads are idempotent; inject (runs a campaign) and subscribe
-  /// (mutates connection state) are not.
-  static bool idempotent(Verb verb);
 
   const std::string& last_error() const { return error_; }
 

@@ -51,6 +51,36 @@ bool send_all(int fd, std::string_view bytes) {
   return true;
 }
 
+/// plan / fleetplan: opens the "service.request" root span when the
+/// request carries a trace id; `spans` stays null otherwise.
+struct RequestTrace {
+  explicit RequestTrace(const WireRequest& request) {
+    if (!request.trace_id.has_value()) return;
+    // Reused per worker like the solve buffers, so traced warm solves stay
+    // allocation-free too.
+    thread_local obs::SpanContext context;
+    context.reset(*request.trace_id);
+    root = context.begin("service.request");
+    spans = &context;
+    obs::count("service.trace.requests");
+  }
+  /// Ends the root span; returns the span tree to encode (or null).
+  const obs::SpanContext* close() {
+    if (spans != nullptr) spans->end(root);
+    return spans;
+  }
+  obs::SpanContext* spans = nullptr;
+  int root = -1;
+};
+
+/// plan / fleetplan: the demand in files/s, absolute or as load_pct of
+/// the fitted capacity.
+double demand(const WireRequest& request, double capacity_files_s) {
+  return request.load_files_s.has_value()
+             ? *request.load_files_s
+             : request.load_pct / 100.0 * capacity_files_s;
+}
+
 size_t priority_limit(Priority priority, size_t capacity) {
   switch (priority) {
     case Priority::kHigh:
@@ -74,11 +104,9 @@ PlanningService::PlanningService(ServiceConfig config)
                              : util::ThreadPool::default_workers();
   config_.workers = workers;
   if (config_.model != nullptr) {
-    sim_backed_ = false;
     plan_engine_ =
         std::make_shared<core::PlanEngine>(config_.model, config_.planner);
   } else {
-    sim_backed_ = true;
     eval_engine_ = std::make_unique<control::EvalEngine>(config_.eval);
     plan_engine_ = eval_engine_->plan_engine();
   }
@@ -98,7 +126,7 @@ PlanningService::PlanningService(ServiceConfig config)
   info_.capacity_files_s = plan_engine_->aggregates().total_capacity;
   info_.queue_capacity = queue_.capacity();
   info_.workers = workers;
-  info_.sim_backed = sim_backed_;
+  info_.sim_backed = eval_engine_ != nullptr;
   info_.fleet_shards = config_.fleet_shards;
   pool_ = std::make_unique<util::ThreadPool>(workers);
   slots_.release(static_cast<std::ptrdiff_t>(workers));
@@ -283,8 +311,7 @@ void PlanningService::accept_loop() {
                        "\n");
       ::close(fd);
       obs::count("service.connections.rejected");
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_rejected;
+      tally(stats_.connections_rejected);
       continue;
     }
 
@@ -299,8 +326,7 @@ void PlanningService::accept_loop() {
     }
     obs::count("service.connections.accepted");
     obs::gauge_set("service.connections", static_cast<double>(active + 1));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.connections_accepted;
+    tally(stats_.connections_accepted);
   }
 }
 
@@ -365,81 +391,49 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
   std::string error;
   if (!parse_request(line, request, error)) {
     obs::count("service.requests.rejected");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.bad_requests;
-    }
+    tally(stats_.bad_requests);
     write_line(session,
                encode_error(request.id, request.verb, kErrBadRequest, error));
     return;
   }
-  if (request.verb == Verb::kHealth) {
-    // Probe plane: answered right here on the reader thread, never queued,
-    // so liveness checks keep answering under a saturated admission queue
-    // and during a drain (reported as draining:true, not shed).
-    HealthInfo health;
-    health.queue_depth = queue_.size();
-    health.queue_capacity = queue_.capacity();
-    health.workers = config_.workers;
-    health.draining = draining_.load(std::memory_order_acquire);
-    if (fleet_engine_ != nullptr) {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      health.shard_status = shard_status_;
-    }
-    obs::count("service.health.requests");
-    write_line(session, encode_health_response(request.id, health));
+  const VerbSpec& spec = verb_spec(request.verb);
+  if (!serves(info_, request.verb)) {
+    // What each Backing needs, indexed by it (kAny is always served).
+    static constexpr const char* kNeeds[] = {
+        "", "a simulator-backed server (started without --model)",
+        "a fleet topology (started without --fleet-shards)"};
+    const char* needs = kNeeds[static_cast<size_t>(spec.backing)];
+    write_line(session, encode_error(request.id, request.verb,
+                                     kErrUnsupportedVerb,
+                                     util::strf("verb %s needs %s", spec.name,
+                                                needs)));
     return;
   }
-  if (!sim_backed_ && request.verb != Verb::kPing &&
-      request.verb != Verb::kPlan && request.verb != Verb::kFleetplan &&
-      request.verb != Verb::kSubscribe) {
-    write_line(session,
-               encode_error(request.id, request.verb, kErrUnsupportedVerb,
-                            util::strf("verb %s needs a simulator-backed "
-                                       "server (started without --model)",
-                                       to_string(request.verb))));
+  if (spec.plane == Plane::kReader) {
+    // Answered right here on the reader thread, never queued: health keeps
+    // answering under a saturated queue and during a drain (reported as
+    // draining:true, not shed), and streaming cannot contend with solves.
+    write_line(session, handle_request(request, session));
     return;
   }
-  if (request.verb == Verb::kFleetplan && fleet_engine_ == nullptr) {
-    write_line(session,
-               encode_error(request.id, request.verb, kErrUnsupportedVerb,
-                            "verb fleetplan needs a fleet topology (started "
-                            "without --fleet-shards)"));
-    return;
-  }
-  if (request.verb == Verb::kSubscribe) {
-    // Control plane: registered right here on the reader thread, never
-    // admitted to the queue — streaming cannot contend with solves.
-    handle_subscribe(session, request);
-    return;
-  }
-
-  auto shed = [&](const char* code, const char* why, size_t depth) {
-    obs::count("service.requests.shed");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shed;
-    }
-    write_line(session, encode_error(request.id, request.verb, code, why,
-                                     depth));
-  };
 
   if (draining_.load(std::memory_order_acquire)) {
-    shed(kErrShedDraining, "server is draining", queue_.size());
+    write_line(session, shed(request, kErrShedDraining, "server is draining",
+                             queue_.size()));
     return;
   }
   const size_t depth = queue_.size();
   const size_t limit = priority_limit(request.priority, queue_.capacity());
   if (depth >= limit) {
-    if (limit == queue_.capacity()) {
-      shed(kErrShedQueueFull, "admission queue is full", depth);
-    } else {
-      shed(kErrShedPriority,
-           util::strf("queue depth %zu is beyond the %s-priority share %zu",
-                      depth, to_string(request.priority), limit)
-               .c_str(),
-           depth);
-    }
+    write_line(session,
+               limit == queue_.capacity()
+                   ? shed(request, kErrShedQueueFull,
+                          "admission queue is full", depth)
+                   : shed(request, kErrShedPriority,
+                          util::strf("queue depth %zu is beyond the "
+                                     "%s-priority share %zu",
+                                     depth, to_string(request.priority), limit),
+                          depth));
     return;
   }
 
@@ -448,33 +442,26 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
     case PushResult::kOk:
       obs::count("service.requests.admitted");
       obs::gauge_set("service.queue.depth", static_cast<double>(queue_.size()));
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.admitted;
-      }
+      tally(stats_.admitted);
       break;
     case PushResult::kFull:
-      shed(kErrShedQueueFull, "admission queue is full", queue_.size());
+      write_line(session, shed(request, kErrShedQueueFull,
+                               "admission queue is full", queue_.size()));
       break;
     case PushResult::kClosed:
-      shed(kErrShedDraining, "server is draining", queue_.size());
+      write_line(session, shed(request, kErrShedDraining,
+                               "server is draining", queue_.size()));
       break;
   }
 }
 
 // --- telemetry streaming (subscribe verb) ---
 
-void PlanningService::handle_subscribe(const std::shared_ptr<Session>& session,
-                                       const WireRequest& request) {
+std::string PlanningService::handle_subscribe(const WireRequest& request,
+                                              SessionRef session) {
   if (draining_.load(std::memory_order_acquire)) {
-    obs::count("service.requests.shed");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shed;
-    }
-    write_line(session, encode_error(request.id, request.verb, kErrShedDraining,
-                                     "server is draining", queue_.size()));
-    return;
+    return shed(request, kErrShedDraining, "server is draining",
+                queue_.size());
   }
   const uint64_t interval_ms =
       std::clamp(request.interval_ms, kMinTickIntervalMs, kMaxTickIntervalMs);
@@ -494,14 +481,11 @@ void PlanningService::handle_subscribe(const std::shared_ptr<Session>& session,
   }
   obs::count("service.telemetry.subscribed");
   obs::gauge_set("service.telemetry.subscribers", static_cast<double>(active));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.subscriptions;
-  }
-  // Ack before the first tick so clients always see response, then stream.
-  write_line(session,
-             encode_subscribe_response(request.id, interval_ms, request.ticks));
+  tally(stats_.subscriptions);
+  // The ack precedes the first tick: ticks reach the session only through
+  // its mailbox, which this same reader thread flushes after writing it.
   subs_cv_.notify_all();
+  return encode_subscribe_response(request.id, interval_ms, request.ticks);
 }
 
 void PlanningService::flush_pending_tick(
@@ -582,10 +566,7 @@ void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
     }
     if (delivered) {
       obs::count("service.telemetry.ticks");
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.telemetry_ticks;
-      }
+      tally(stats_.telemetry_ticks);
       // Advance the delta basis only on delivery: a dropped tick's changes
       // ride along on the next delivered one instead of vanishing.
       sub->last = current;
@@ -595,8 +576,7 @@ void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
       }
     } else {
       obs::count("service.telemetry.dropped_ticks");
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.dropped_ticks;
+      tally(stats_.dropped_ticks);
     }
     sub->next_due = now + std::chrono::milliseconds(sub->interval_ms);
   }
@@ -647,10 +627,7 @@ void PlanningService::run_job(const Job& job) {
             .count();
     if (waited_ms > static_cast<double>(*job.request.deadline_ms)) {
       obs::count("service.deadline.expired");
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.deadline_expired;
-      }
+      tally(stats_.deadline_expired);
       write_line(job.session,
                  encode_error(job.request.id, job.request.verb,
                               kErrDeadlineExceeded,
@@ -660,13 +637,13 @@ void PlanningService::run_job(const Job& job) {
                                              *job.request.deadline_ms),
                                          waited_ms),
                               queue_.size()));
-      observe_latency(job.request.verb, waited_ms * 1000.0);
+      obs::observe(verb_spec(job.request.verb).latency_us, waited_ms * 1000.0);
       return;
     }
   }
   std::string response;
   try {
-    response = handle_request(job.request);
+    response = handle_request(job.request, job.session);
   } catch (const std::exception& e) {
     response = encode_error(job.request.id, job.request.verb, kErrInternal,
                             e.what());
@@ -679,148 +656,161 @@ void PlanningService::run_job(const Job& job) {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - job.admitted_at)
           .count();
-  observe_latency(job.request.verb, us);
+  obs::observe(verb_spec(job.request.verb).latency_us, us);
 }
 
-std::string PlanningService::handle_request(const WireRequest& request) {
-  switch (request.verb) {
-    case Verb::kPing:
-      return encode_ping_response(request.id, info_);
-    case Verb::kPlan: {
-      const double load =
-          request.load_files_s.has_value()
-              ? *request.load_files_s
-              : request.load_pct / 100.0 * info_.capacity_files_s;
-      core::PlanRequest plan_request(core::Scenario::by_number(request.scenario),
-                                     load, request.quarantined);
-      try {
-        // Pool workers are long-lived, so each keeps one PlanResult slot
-        // (plus its SolveScratch) warm across requests: a steady stream of
-        // plan queries reuses the same buffers instead of allocating a
-        // result per request. The span context is reused the same way, so
-        // traced warm solves stay allocation-free too.
-        thread_local core::PlanResult slot;
-        thread_local obs::SpanContext spans;
-        const bool traced = request.trace_id.has_value();
-        int root = -1;
-        if (traced) {
-          spans.reset(*request.trace_id);
-          root = spans.begin("service.request");
-          plan_request.spans = &spans;
-          obs::count("service.trace.requests");
-        }
-        plan_engine_->solve_into(plan_request, core::SolveScratch::local(),
-                                 slot);
-        if (!traced) {
-          return encode_plan_response(request.id, slot, nullptr,
-                                      request.deadline_ms);
-        }
-        spans.end(root);
-        return encode_plan_response(request.id, slot, &spans,
-                                    request.deadline_ms);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kPlan, kErrInvalidArgument,
-                            e.what());
-      }
-    }
-    case Verb::kFleetplan: {
-      // handle_line rejects fleetplan before admission when no fleet is
-      // configured, so fleet_engine_ is non-null here.
-      const double load =
-          request.load_files_s.has_value()
-              ? *request.load_files_s
-              : request.load_pct / 100.0 * info_.capacity_files_s;
-      fleet::FleetPlanRequest fleet_request;
-      fleet_request.scenario = core::Scenario::by_number(request.scenario);
-      fleet_request.load = load;
-      fleet_request.quarantined = request.fleet_quarantined;
-      fleet_request.down_shards = request.down_shards;
-      try {
-        thread_local obs::SpanContext spans;
-        const bool traced = request.trace_id.has_value();
-        int root = -1;
-        if (traced) {
-          spans.reset(*request.trace_id);
-          root = spans.begin("service.request");
-          fleet_request.spans = &spans;
-          obs::count("service.trace.requests");
-        }
-        const fleet::FleetPlanResult result = fleet_engine_->solve(fleet_request);
-        {
-          // Remember the statuses for the health verb's probe answers.
-          std::lock_guard<std::mutex> lock(health_mu_);
-          for (size_t s = 0; s < result.shard_status.size() &&
-                             s < shard_status_.size();
-               ++s) {
-            shard_status_[s] = fleet::to_string(result.shard_status[s]);
-          }
-        }
-        if (!traced) {
-          return encode_fleetplan_response(request.id, result, nullptr,
-                                           request.deadline_ms);
-        }
-        spans.end(root);
-        return encode_fleetplan_response(request.id, result, &spans,
-                                         request.deadline_ms);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kFleetplan, kErrInvalidArgument,
-                            e.what());
-      }
-    }
-    case Verb::kMeasure: {
-      try {
-        return encode_measure_response(
-            request.id,
-            eval_engine_->measure(core::Scenario::by_number(request.scenario),
-                                  request.load_pct));
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kMeasure, kErrInvalidArgument,
-                            e.what());
-      }
-    }
-    case Verb::kSweep: {
-      std::vector<core::Scenario> scenarios;
-      if (request.scenarios.empty()) {
-        scenarios = core::Scenario::all8();
-      } else {
-        for (const int number : request.scenarios) {
-          scenarios.push_back(core::Scenario::by_number(number));
-        }
-      }
-      const std::vector<double> load_pcts = request.load_pcts.empty()
-                                                ? control::paper_load_axis()
-                                                : request.load_pcts;
-      try {
-        const std::vector<control::EvalPoint> points =
-            eval_engine_->sweep(scenarios, load_pcts);
-        return encode_sweep_response(request.id, points);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kSweep, kErrInvalidArgument,
-                            e.what());
-      }
-    }
-    case Verb::kInject: {
-      control::FaultCampaignOptions options;
-      options.room = config_.eval.room;
-      try {
-        options.scenario = sim::FaultScenario::named(request.fault);
-        options.defense = control::parse_defense(request.defense);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kInject, kErrInvalidArgument,
-                            e.what());
-      }
-      options.demand_fraction = request.load_pct / 100.0;
-      options.duration_s = request.duration_s;
-      options.control_period_s = request.control_period_s;
-      return encode_inject_response(request.id,
-                                    control::run_fault_campaign(options));
-    }
-    case Verb::kSubscribe:
-    case Verb::kHealth:
-      // Both answered on the reader thread; never admitted.
-      break;
+std::string PlanningService::handle_request(const WireRequest& request,
+                                            SessionRef session) {
+  struct Row {
+    Verb verb;
+    std::string (PlanningService::*handle)(const WireRequest&, SessionRef);
+  };
+  static constexpr Row kHandlers[] = {
+      {Verb::kPing, &PlanningService::handle_ping},
+      {Verb::kPlan, &PlanningService::handle_plan},
+      {Verb::kFleetplan, &PlanningService::handle_fleetplan},
+      {Verb::kMeasure, &PlanningService::handle_measure},
+      {Verb::kSweep, &PlanningService::handle_sweep},
+      {Verb::kInject, &PlanningService::handle_inject},
+      {Verb::kSubscribe, &PlanningService::handle_subscribe},
+      {Verb::kHealth, &PlanningService::handle_health},
+  };
+  static_assert(covers_verbs(kHandlers), "one handler per Verb, in order");
+  return (this->*kHandlers[static_cast<size_t>(request.verb)].handle)(request,
+                                                                      session);
+}
+
+std::string PlanningService::handle_ping(const WireRequest& request,
+                                         SessionRef) {
+  return encode_ping_response(request.id, info_);
+}
+
+std::string PlanningService::handle_plan(const WireRequest& request,
+                                         SessionRef) {
+  core::PlanRequest plan_request(core::Scenario::by_number(request.scenario),
+                                 demand(request, info_.capacity_files_s),
+                                 request.quarantined);
+  try {
+    // Pool workers are long-lived, so each keeps one PlanResult slot (plus
+    // its SolveScratch) warm across requests: a steady stream of plan
+    // queries reuses the same buffers instead of allocating per request.
+    thread_local core::PlanResult slot;
+    RequestTrace trace(request);
+    plan_request.spans = trace.spans;
+    plan_engine_->solve_into(plan_request, core::SolveScratch::local(), slot);
+    return encode_plan_response(request.id, slot, trace.close(),
+                                request.deadline_ms);
+  } catch (const std::invalid_argument& e) {
+    return encode_error(request.id, request.verb, kErrInvalidArgument,
+                        e.what());
   }
-  return encode_error(request.id, request.verb, kErrInternal, "unreachable");
+}
+
+std::string PlanningService::handle_fleetplan(const WireRequest& request,
+                                              SessionRef) {
+  // handle_line rejects fleetplan before admission when no fleet is
+  // configured, so fleet_engine_ is non-null here.
+  fleet::FleetPlanRequest fleet_request;
+  fleet_request.scenario = core::Scenario::by_number(request.scenario);
+  fleet_request.load = demand(request, info_.capacity_files_s);
+  fleet_request.quarantined = request.fleet_quarantined;
+  fleet_request.down_shards = request.down_shards;
+  try {
+    RequestTrace trace(request);
+    fleet_request.spans = trace.spans;
+    const fleet::FleetPlanResult result = fleet_engine_->solve(fleet_request);
+    {
+      // Remember the statuses for the health verb's probe answers.
+      std::lock_guard<std::mutex> lock(health_mu_);
+      for (size_t s = 0;
+           s < result.shard_status.size() && s < shard_status_.size(); ++s) {
+        shard_status_[s] = fleet::to_string(result.shard_status[s]);
+      }
+    }
+    return encode_fleetplan_response(request.id, result, trace.close(),
+                                     request.deadline_ms);
+  } catch (const std::invalid_argument& e) {
+    return encode_error(request.id, request.verb, kErrInvalidArgument,
+                        e.what());
+  }
+}
+
+std::string PlanningService::handle_measure(const WireRequest& request,
+                                            SessionRef) {
+  try {
+    return encode_measure_response(
+        request.id,
+        eval_engine_->measure(core::Scenario::by_number(request.scenario),
+                              request.load_pct));
+  } catch (const std::invalid_argument& e) {
+    return encode_error(request.id, request.verb, kErrInvalidArgument,
+                        e.what());
+  }
+}
+
+std::string PlanningService::handle_sweep(const WireRequest& request,
+                                          SessionRef) {
+  std::vector<core::Scenario> scenarios;
+  for (const int number : request.scenarios) {
+    scenarios.push_back(core::Scenario::by_number(number));
+  }
+  if (scenarios.empty()) scenarios = core::Scenario::all8();
+  const std::vector<double> load_pcts = request.load_pcts.empty()
+                                            ? control::paper_load_axis()
+                                            : request.load_pcts;
+  try {
+    return encode_sweep_response(request.id,
+                                 eval_engine_->sweep(scenarios, load_pcts));
+  } catch (const std::invalid_argument& e) {
+    return encode_error(request.id, request.verb, kErrInvalidArgument,
+                        e.what());
+  }
+}
+
+std::string PlanningService::handle_inject(const WireRequest& request,
+                                           SessionRef) {
+  control::FaultCampaignOptions options;
+  options.room = config_.eval.room;
+  try {
+    options.scenario = sim::FaultScenario::named(request.fault);
+    options.defense = control::parse_defense(request.defense);
+  } catch (const std::invalid_argument& e) {
+    return encode_error(request.id, request.verb, kErrInvalidArgument,
+                        e.what());
+  }
+  options.demand_fraction = request.load_pct / 100.0;
+  options.duration_s = request.duration_s;
+  options.control_period_s = request.control_period_s;
+  return encode_inject_response(request.id,
+                                control::run_fault_campaign(options));
+}
+
+std::string PlanningService::handle_health(const WireRequest& request,
+                                           SessionRef) {
+  HealthInfo health;
+  health.queue_depth = queue_.size();
+  health.queue_capacity = queue_.capacity();
+  health.workers = config_.workers;
+  health.draining = draining_.load(std::memory_order_acquire);
+  if (fleet_engine_ != nullptr) {
+    std::lock_guard<std::mutex> lock(health_mu_);
+    health.shard_status = shard_status_;
+  }
+  obs::count("service.health.requests");
+  return encode_health_response(request.id, health);
+}
+
+std::string PlanningService::shed(const WireRequest& request,
+                                  std::string_view code, std::string_view why,
+                                  size_t depth) {
+  obs::count("service.requests.shed");
+  tally(stats_.shed);
+  return encode_error(request.id, request.verb, code, why, depth);
+}
+
+void PlanningService::tally(uint64_t& book) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++book;
 }
 
 bool PlanningService::write_line(const std::shared_ptr<Session>& session,
@@ -840,34 +830,6 @@ bool PlanningService::write_line(const std::shared_ptr<Session>& session,
     return false;
   }
   return send_all(session->fd, framed);
-}
-
-void PlanningService::observe_latency(Verb verb, double us) {
-  // Literal metric names: tools/check_metrics.sh greps for each catalog
-  // row at an emission site.
-  switch (verb) {
-    case Verb::kPing:
-      obs::observe("service.latency.ping_us", us);
-      break;
-    case Verb::kPlan:
-      obs::observe("service.latency.plan_us", us);
-      break;
-    case Verb::kFleetplan:
-      obs::observe("service.latency.fleetplan_us", us);
-      break;
-    case Verb::kMeasure:
-      obs::observe("service.latency.measure_us", us);
-      break;
-    case Verb::kSweep:
-      obs::observe("service.latency.sweep_us", us);
-      break;
-    case Verb::kInject:
-      obs::observe("service.latency.inject_us", us);
-      break;
-    case Verb::kSubscribe:
-    case Verb::kHealth:
-      break;  // never dispatched; answered on the reader thread
-  }
 }
 
 }  // namespace coolopt::service

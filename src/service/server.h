@@ -211,9 +211,6 @@ class PlanningService {
   void broadcast_round(obs::MetricsSnapshot& current,
                        obs::MetricsSnapshot& hist_prev,
                        obs::MetricsDelta& delta);
-  /// Registers a subscribe request and writes the ack (reader threads).
-  void handle_subscribe(const std::shared_ptr<Session>& session,
-                        const WireRequest& request);
   /// Writes a mailbox tick, if any (the session's reader thread).
   void flush_pending_tick(const std::shared_ptr<Session>& session);
 
@@ -224,16 +221,31 @@ class PlanningService {
   /// response. Never throws (ThreadPool::wait_idle rethrows raw job
   /// exceptions, so failures become internal_error responses instead).
   void run_job(const Job& job);
-  /// The request -> response-bytes pure function (also what the
-  /// determinism tests replicate in-process).
-  std::string handle_request(const WireRequest& request);
+  /// The request -> response-bytes function (also what the determinism
+  /// tests replicate in-process): dispatches through a Verb-indexed
+  /// handler array. Only subscribe uses the session.
+  using SessionRef = const std::shared_ptr<Session>&;
+  std::string handle_request(const WireRequest& request, SessionRef session);
+  std::string handle_ping(const WireRequest& request, SessionRef);
+  std::string handle_plan(const WireRequest& request, SessionRef);
+  std::string handle_fleetplan(const WireRequest& request, SessionRef);
+  std::string handle_measure(const WireRequest& request, SessionRef);
+  std::string handle_sweep(const WireRequest& request, SessionRef);
+  std::string handle_inject(const WireRequest& request, SessionRef);
+  /// Registers the session for ticks and returns the ack (reader thread).
+  std::string handle_subscribe(const WireRequest& request, SessionRef session);
+  std::string handle_health(const WireRequest& request, SessionRef);
+
+  /// Counts one shed request and returns its error line.
+  std::string shed(const WireRequest& request, std::string_view code,
+                   std::string_view why, size_t depth);
+  /// Bumps one Stats book under stats_mu_.
+  void tally(uint64_t& book);
 
   bool write_line(const std::shared_ptr<Session>& session,
                   std::string_view line);
-  void observe_latency(Verb verb, double us);
 
   ServiceConfig config_;
-  bool sim_backed_ = false;
   std::unique_ptr<control::EvalEngine> eval_engine_;  // sim-backed mode
   std::shared_ptr<core::PlanEngine> plan_engine_;     // always set
   std::unique_ptr<fleet::FleetEngine> fleet_engine_;  // fleet_shards > 0

@@ -1,9 +1,11 @@
 #include "service/wire.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "obs/json_writer.h"
 #include "util/jsonio.h"
@@ -76,14 +78,10 @@ class JsonParser {
         out.kind_ = JsonValue::Kind::kString;
         return parse_string(out.string_);
       case 't':
-        if (!literal("true")) return fail("bad literal");
-        out.kind_ = JsonValue::Kind::kBool;
-        out.bool_ = true;
-        return true;
       case 'f':
-        if (!literal("false")) return fail("bad literal");
         out.kind_ = JsonValue::Kind::kBool;
-        out.bool_ = false;
+        out.bool_ = c == 't';
+        if (!literal(out.bool_ ? "true" : "false")) return fail("bad literal");
         return true;
       case 'n':
         if (!literal("null")) return fail("bad literal");
@@ -96,14 +94,7 @@ class JsonParser {
 
   bool parse_object(JsonValue& out, size_t depth) {
     out.kind_ = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
+    return parse_list('}', "object", [&] {
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return fail("expected object key");
       }
@@ -119,44 +110,46 @@ class JsonParser {
       JsonValue value;
       if (!parse_value(value, depth + 1)) return false;
       out.members_.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
+      return true;
+    });
   }
 
   bool parse_array(JsonValue& out, size_t depth) {
     out.kind_ = JsonValue::Kind::kArray;
-    ++pos_;  // '['
+    return parse_list(']', "array", [&] {
+      JsonValue value;
+      if (!parse_value(value, depth + 1)) return false;
+      out.items_.push_back(std::move(value));
+      return true;
+    });
+  }
+
+  /// The shared object/array walk: the opening bracket at pos_, then
+  /// `item`s separated by commas up to `close`.
+  template <class Item>
+  bool parse_list(char close, const char* what, Item&& item) {
+    ++pos_;  // '{' or '['
     skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
+    if (pos_ < text_.size() && text_[pos_] == close) {
       ++pos_;
       return true;
     }
     for (;;) {
       skip_ws();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      out.items_.push_back(std::move(value));
+      if (!item()) return false;
       skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
+      if (pos_ >= text_.size()) {
+        return fail(util::strf("unterminated %s", what));
+      }
       if (text_[pos_] == ',') {
         ++pos_;
         continue;
       }
-      if (text_[pos_] == ']') {
+      if (text_[pos_] == close) {
         ++pos_;
         return true;
       }
-      return fail("expected ',' or ']'");
+      return fail(util::strf("expected ',' or '%c'", close));
     }
   }
 
@@ -238,53 +231,27 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error) {
   return JsonParser(text).parse(out, error);
 }
 
-// --- verbs / priorities ---
+// --- priorities ---
 
-const char* to_string(Verb verb) {
-  switch (verb) {
-    case Verb::kPing: return "ping";
-    case Verb::kPlan: return "plan";
-    case Verb::kFleetplan: return "fleetplan";
-    case Verb::kMeasure: return "measure";
-    case Verb::kSweep: return "sweep";
-    case Verb::kInject: return "inject";
-    case Verb::kSubscribe: return "subscribe";
-    case Verb::kHealth: return "health";
-  }
-  return "?";
-}
+namespace {
+constexpr const char* kPriorityNames[] = {"high", "normal", "low"};
+}  // namespace
 
 const char* to_string(Priority priority) {
-  switch (priority) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kLow: return "low";
+  return kPriorityNames[static_cast<size_t>(priority)];
+}
+
+bool parse_priority(std::string_view name, Priority& out) {
+  for (size_t i = 0; i < std::size(kPriorityNames); ++i) {
+    if (name == kPriorityNames[i]) {
+      out = static_cast<Priority>(i);
+      return true;
+    }
   }
-  return "?";
+  return false;
 }
 
 namespace {
-
-bool parse_verb(const std::string& name, Verb& out) {
-  if (name == "ping") out = Verb::kPing;
-  else if (name == "plan") out = Verb::kPlan;
-  else if (name == "fleetplan") out = Verb::kFleetplan;
-  else if (name == "measure") out = Verb::kMeasure;
-  else if (name == "sweep") out = Verb::kSweep;
-  else if (name == "inject") out = Verb::kInject;
-  else if (name == "subscribe") out = Verb::kSubscribe;
-  else if (name == "health") out = Verb::kHealth;
-  else return false;
-  return true;
-}
-
-bool parse_priority(const std::string& name, Priority& out) {
-  if (name == "high") out = Priority::kHigh;
-  else if (name == "normal") out = Priority::kNormal;
-  else if (name == "low") out = Priority::kLow;
-  else return false;
-  return true;
-}
 
 /// Non-negative integral number (ids, scenario numbers, machine indices).
 bool as_uint(const JsonValue& v, uint64_t& out) {
@@ -295,38 +262,353 @@ bool as_uint(const JsonValue& v, uint64_t& out) {
   return true;
 }
 
-/// The per-verb field whitelist: every key of the request object must be
-/// either common or listed for the verb, so typos are rejected by name.
-bool field_allowed(Verb verb, const std::string& key) {
-  static constexpr std::string_view kCommon[] = {"id", "verb", "priority"};
-  for (std::string_view f : kCommon) {
-    if (key == f) return true;
+/// Optional integer field: when present it must be an integer >= `min`
+/// (`dst` is a uint64_t or an optional of one), else it "must be <rule>".
+template <class Dst>
+bool uint_field(const JsonValue& doc, const char* name, uint64_t min,
+                const char* rule, Dst& dst, std::string& error) {
+  const JsonValue* v = doc.find(name);
+  if (v == nullptr) return true;
+  uint64_t n = 0;
+  if (as_uint(*v, n) && n >= min) {
+    dst = n;
+    return true;
   }
-  switch (verb) {
-    case Verb::kPing:
-    case Verb::kHealth:
-      return false;
-    case Verb::kPlan:
-      return key == "scenario" || key == "load_pct" || key == "load" ||
-             key == "quarantined" || key == "trace_id" || key == "deadline_ms";
-    case Verb::kFleetplan:
-      return key == "scenario" || key == "load_pct" || key == "load" ||
-             key == "quarantined" || key == "trace_id" ||
-             key == "deadline_ms" || key == "down_shards";
-    case Verb::kMeasure:
-      return key == "scenario" || key == "load_pct";
-    case Verb::kSweep:
-      return key == "scenarios" || key == "load_pcts";
-    case Verb::kInject:
-      return key == "fault" || key == "defense" || key == "load_pct" ||
-             key == "duration_s" || key == "control_period_s";
-    case Verb::kSubscribe:
-      return key == "interval_ms" || key == "ticks";
-  }
+  error = util::strf("\"%s\" must be %s", name, rule);
   return false;
 }
 
+// --- per-verb field parsers (VerbSpec::parse) ---
+
+bool scenario_field(const JsonValue& v, int& dst, std::string& error) {
+  uint64_t n = 0;
+  if (!as_uint(v, n) || n < 1 || n > 8) {
+    error = "\"scenario\" must be a Fig. 4 number in 1..8";
+    return false;
+  }
+  dst = static_cast<int>(n);
+  return true;
+}
+
+/// `dst` is a double or an optional of one.
+template <class Dst>
+bool finite_number(const JsonValue& v, const char* name, Dst& dst,
+                   std::string& error) {
+  if (!v.is_number() || !std::isfinite(v.as_number())) {
+    error = util::strf("\"%s\" must be a finite number", name);
+    return false;
+  }
+  dst = v.as_number();
+  return true;
+}
+
+/// Optional number field that, when present, must be finite and > 0.
+bool positive_field(const JsonValue& doc, const char* name, double& dst,
+                    std::string& error) {
+  const JsonValue* v = doc.find(name);
+  if (v == nullptr) return true;
+  if (!finite_number(*v, name, dst, error)) return false;
+  if (dst > 0.0) return true;
+  error = util::strf("\"%s\" must be positive", name);
+  return false;
+}
+
+/// Optional array of `what` indices (non-negative integers).
+bool index_array(const JsonValue& doc, const char* name, const char* what,
+                 std::vector<size_t>& dst, std::string& error) {
+  const JsonValue* v = doc.find(name);
+  if (v == nullptr) return true;
+  if (!v->is_array()) {
+    error = util::strf("\"%s\" must be an array of %s indices", name, what);
+    return false;
+  }
+  for (const JsonValue& item : v->items()) {
+    uint64_t index = 0;
+    if (!as_uint(item, index)) {
+      error = util::strf("\"%s\" entries must be non-negative integers", name);
+      return false;
+    }
+    dst.push_back(static_cast<size_t>(index));
+  }
+  return true;
+}
+
+bool parse_none(const JsonValue&, WireRequest&, std::string&) { return true; }
+
+/// plan: machine indices of one room.
+bool parse_plan_targets(const JsonValue& doc, WireRequest& out,
+                        std::string& error) {
+  return index_array(doc, "quarantined", "machine", out.quarantined, error);
+}
+
+/// fleetplan: {"shard","machine"} quarantines, then down shards.
+bool parse_fleet_targets(const JsonValue& doc, WireRequest& out,
+                         std::string& error) {
+  if (const JsonValue* q = doc.find("quarantined")) {
+    if (!q->is_array()) {
+      error = "\"quarantined\" must be an array of "
+              "{\"shard\",\"machine\"} objects";
+      return false;
+    }
+    for (const JsonValue& item : q->items()) {
+      const JsonValue* shard = item.find("shard");
+      const JsonValue* machine = item.find("machine");
+      uint64_t s_index = 0;
+      uint64_t m_index = 0;
+      if (!item.is_object() || item.members().size() != 2 ||
+          shard == nullptr || machine == nullptr ||
+          !as_uint(*shard, s_index) || !as_uint(*machine, m_index)) {
+        error = "\"quarantined\" entries must be objects with exactly "
+                "non-negative integer \"shard\" and \"machine\"";
+        return false;
+      }
+      out.fleet_quarantined.push_back(fleet::ShardMachine{
+          static_cast<size_t>(s_index), static_cast<size_t>(m_index)});
+    }
+  }
+  return index_array(doc, "down_shards", "shard", out.down_shards, error);
+}
+
+/// plan / fleetplan: scenario, exactly one of load_pct / load, the verb's
+/// own `Targets`, then the optional trace id and deadline.
+template <bool (*Targets)(const JsonValue&, WireRequest&, std::string&)>
+bool parse_planned(const JsonValue& doc, WireRequest& out,
+                   std::string& error) {
+  if (const JsonValue* s = doc.find("scenario")) {
+    if (!scenario_field(*s, out.scenario, error)) return false;
+  }
+  const char* verb = verb_spec(out.verb).name;
+  const JsonValue* pct = doc.find("load_pct");
+  const JsonValue* abs = doc.find("load");
+  if (pct == nullptr && abs == nullptr) {
+    error = util::strf("%s needs \"load_pct\" or \"load\"", verb);
+    return false;
+  }
+  if (pct != nullptr && abs != nullptr) {
+    error = util::strf("%s takes \"load_pct\" or \"load\", not both", verb);
+    return false;
+  }
+  return (pct == nullptr ||
+          finite_number(*pct, "load_pct", out.load_pct, error)) &&
+         (abs == nullptr ||
+          finite_number(*abs, "load", out.load_files_s, error)) &&
+         Targets(doc, out, error) &&
+         uint_field(doc, "trace_id", 0, "a non-negative integer", out.trace_id,
+                    error) &&
+         uint_field(doc, "deadline_ms", 1, "a positive integer",
+                    out.deadline_ms, error);
+}
+
+bool parse_measure(const JsonValue& doc, WireRequest& out, std::string& error) {
+  if (const JsonValue* s = doc.find("scenario")) {
+    if (!scenario_field(*s, out.scenario, error)) return false;
+  }
+  const JsonValue* pct = doc.find("load_pct");
+  if (pct == nullptr) {
+    error = "measure needs \"load_pct\"";
+    return false;
+  }
+  return finite_number(*pct, "load_pct", out.load_pct, error);
+}
+
+bool parse_sweep(const JsonValue& doc, WireRequest& out, std::string& error) {
+  if (const JsonValue* s = doc.find("scenarios")) {
+    if (!s->is_array() || s->items().empty()) {
+      error = "\"scenarios\" must be a non-empty array of Fig. 4 numbers";
+      return false;
+    }
+    for (const JsonValue& item : s->items()) {
+      int number = 0;
+      if (!scenario_field(item, number, error)) {
+        error = "\"scenarios\" entries must be Fig. 4 numbers in 1..8";
+        return false;
+      }
+      out.scenarios.push_back(number);
+    }
+  }
+  if (const JsonValue* l = doc.find("load_pcts")) {
+    if (!l->is_array() || l->items().empty()) {
+      error = "\"load_pcts\" must be a non-empty array of numbers";
+      return false;
+    }
+    for (const JsonValue& item : l->items()) {
+      double v = 0.0;
+      if (!finite_number(item, "load_pcts", v, error)) return false;
+      out.load_pcts.push_back(v);
+    }
+  }
+  return true;
+}
+
+bool parse_inject(const JsonValue& doc, WireRequest& out, std::string& error) {
+  if (const JsonValue* f = doc.find("fault")) {
+    if (!f->is_string()) {
+      error = "\"fault\" must be a scenario name string";
+      return false;
+    }
+    out.fault = f->as_string();
+  }
+  if (const JsonValue* d = doc.find("defense")) {
+    if (!d->is_string()) {
+      error = "\"defense\" must be none|watchdog|supervisor";
+      return false;
+    }
+    out.defense = d->as_string();
+  }
+  out.load_pct = 60.0;
+  return positive_field(doc, "load_pct", out.load_pct, error) &&
+         positive_field(doc, "duration_s", out.duration_s, error) &&
+         positive_field(doc, "control_period_s", out.control_period_s, error);
+}
+
+bool parse_subscribe(const JsonValue& doc, WireRequest& out,
+                     std::string& error) {
+  // interval_ms is clamped to the server bounds at admission.
+  return uint_field(doc, "interval_ms", 1, "a positive integer",
+                    out.interval_ms, error) &&
+         uint_field(doc, "ticks", 0, "a non-negative integer (0 = unbounded)",
+                    out.ticks, error);
+}
+
+// --- per-verb field encoders (VerbSpec::encode) ---
+
+void encode_none(obs::JsonWriter&, const WireRequest&) {}
+
+/// An optional array field, omitted when empty; integers go out unsigned.
+template <class T>
+void write_array(obs::JsonWriter& w, const char* name,
+                 const std::vector<T>& values) {
+  if (values.empty()) return;
+  w.key(name);
+  w.begin_array();
+  for (const T& v : values) {
+    if constexpr (std::is_integral_v<T>) {
+      w.value(static_cast<uint64_t>(v));
+    } else {
+      w.value(v);
+    }
+  }
+  w.end_array();
+}
+
+void encode_plan_targets(obs::JsonWriter& w, const WireRequest& request) {
+  write_array(w, "quarantined", request.quarantined);
+}
+
+void encode_fleet_targets(obs::JsonWriter& w, const WireRequest& request) {
+  if (!request.fleet_quarantined.empty()) {
+    w.key("quarantined");
+    w.begin_array();
+    for (const fleet::ShardMachine& q : request.fleet_quarantined) {
+      w.begin_object();
+      w.kv("shard", static_cast<uint64_t>(q.shard));
+      w.kv("machine", static_cast<uint64_t>(q.machine));
+      w.end_object();
+    }
+    w.end_array();
+  }
+  write_array(w, "down_shards", request.down_shards);
+}
+
+/// The encode side of parse_planned, field for field in the same order.
+template <void (*Targets)(obs::JsonWriter&, const WireRequest&)>
+void encode_planned(obs::JsonWriter& w, const WireRequest& request) {
+  w.kv("scenario", static_cast<uint64_t>(request.scenario));
+  if (request.load_files_s.has_value()) {
+    w.kv("load", *request.load_files_s);
+  } else {
+    w.kv("load_pct", request.load_pct);
+  }
+  Targets(w, request);
+  if (request.trace_id.has_value()) w.kv("trace_id", *request.trace_id);
+  if (request.deadline_ms.has_value()) {
+    w.kv("deadline_ms", *request.deadline_ms);
+  }
+}
+
+void encode_measure(obs::JsonWriter& w, const WireRequest& request) {
+  w.kv("scenario", static_cast<uint64_t>(request.scenario));
+  w.kv("load_pct", request.load_pct);
+}
+
+void encode_sweep(obs::JsonWriter& w, const WireRequest& request) {
+  write_array(w, "scenarios", request.scenarios);
+  write_array(w, "load_pcts", request.load_pcts);
+}
+
+void encode_inject(obs::JsonWriter& w, const WireRequest& request) {
+  w.kv("fault", request.fault);
+  w.kv("defense", request.defense);
+  w.kv("load_pct", request.load_pct);
+  w.kv("duration_s", request.duration_s);
+  w.kv("control_period_s", request.control_period_s);
+}
+
+void encode_subscribe(obs::JsonWriter& w, const WireRequest& request) {
+  w.kv("interval_ms", request.interval_ms);
+  if (request.ticks > 0) w.kv("ticks", request.ticks);
+}
+
+// --- the verb table ---
+
+constexpr std::string_view kPlanFields[] = {
+    "scenario", "load_pct", "load", "quarantined", "trace_id", "deadline_ms"};
+constexpr std::string_view kFleetplanFields[] = {
+    "scenario", "load_pct",    "load",       "quarantined",
+    "trace_id", "deadline_ms", "down_shards"};
+constexpr std::string_view kMeasureFields[] = {"scenario", "load_pct"};
+constexpr std::string_view kSweepFields[] = {"scenarios", "load_pcts"};
+constexpr std::string_view kInjectFields[] = {
+    "fault", "defense", "load_pct", "duration_s", "control_period_s"};
+constexpr std::string_view kSubscribeFields[] = {"interval_ms", "ticks"};
+
+// verb, name, fields, parse, encode,
+//   idempotent, plane, backing, latency histogram
+constexpr VerbSpec kVerbSpecs[] = {
+    {Verb::kPing, "ping", {}, parse_none, encode_none,
+     true, Plane::kQueued, Backing::kAny, "service.latency.ping_us"},
+    {Verb::kPlan, "plan", kPlanFields, parse_planned<parse_plan_targets>,
+     encode_planned<encode_plan_targets>,
+     true, Plane::kQueued, Backing::kAny, "service.latency.plan_us"},
+    {Verb::kFleetplan, "fleetplan", kFleetplanFields,
+     parse_planned<parse_fleet_targets>, encode_planned<encode_fleet_targets>,
+     true, Plane::kQueued, Backing::kFleet, "service.latency.fleetplan_us"},
+    {Verb::kMeasure, "measure", kMeasureFields, parse_measure, encode_measure,
+     true, Plane::kQueued, Backing::kSimulator, "service.latency.measure_us"},
+    {Verb::kSweep, "sweep", kSweepFields, parse_sweep, encode_sweep,
+     true, Plane::kQueued, Backing::kSimulator, "service.latency.sweep_us"},
+    // Runs a campaign: a resend would run it twice.
+    {Verb::kInject, "inject", kInjectFields, parse_inject, encode_inject,
+     false, Plane::kQueued, Backing::kSimulator, "service.latency.inject_us"},
+    // Mutates connection state: a resend would subscribe twice.
+    {Verb::kSubscribe, "subscribe", kSubscribeFields, parse_subscribe,
+     encode_subscribe, false, Plane::kReader, Backing::kAny, nullptr},
+    {Verb::kHealth, "health", {}, parse_none, encode_none,
+     true, Plane::kReader, Backing::kAny, nullptr},
+};
+static_assert(covers_verbs(kVerbSpecs), "one VerbSpec row per Verb, in order");
+
 }  // namespace
+
+const VerbSpec& verb_spec(Verb verb) {
+  return kVerbSpecs[static_cast<size_t>(verb)];
+}
+
+const VerbSpec* find_verb(std::string_view name) {
+  for (const VerbSpec& spec : kVerbSpecs) {
+    if (name == spec.name) return &spec;
+  }
+  return nullptr;
+}
+
+std::string verb_names(std::string_view separator) {
+  std::string names;
+  for (const VerbSpec& spec : kVerbSpecs) {
+    if (!names.empty()) names += separator;
+    names += spec.name;
+  }
+  return names;
+}
 
 bool parse_request(std::string_view line, WireRequest& out, std::string& error) {
   out = WireRequest{};
@@ -338,26 +620,30 @@ bool parse_request(std::string_view line, WireRequest& out, std::string& error) 
   }
   // Recover the id first so even a rejected request gets a correlated
   // error response.
-  if (const JsonValue* id = doc.find("id")) {
-    if (!as_uint(*id, out.id)) {
-      error = "\"id\" must be a non-negative integer";
-      return false;
-    }
-  }
-  const JsonValue* verb = doc.find("verb");
-  if (verb == nullptr || !verb->is_string() ||
-      !parse_verb(verb->as_string(), out.verb)) {
-    error = "\"verb\" must be one of "
-            "ping|plan|fleetplan|measure|sweep|inject|subscribe|health";
+  if (!uint_field(doc, "id", 0, "a non-negative integer", out.id, error)) {
     return false;
   }
+  const JsonValue* verb = doc.find("verb");
+  const VerbSpec* spec =
+      verb != nullptr && verb->is_string() ? find_verb(verb->as_string())
+                                           : nullptr;
+  if (spec == nullptr) {
+    error.assign("\"verb\" must be one of ").append(verb_names("|"));
+    return false;
+  }
+  out.verb = spec->verb;
+  // The field whitelist: every key must be common or listed in the row,
+  // so typos are rejected by name.
   for (const auto& [key, value] : doc.members()) {
     (void)value;
-    if (!field_allowed(out.verb, key)) {
-      error = util::strf("unknown field \"%s\" for verb %s", key.c_str(),
-                         to_string(out.verb));
-      return false;
+    if (key == "id" || key == "verb" || key == "priority" ||
+        std::find(spec->fields.begin(), spec->fields.end(), key) !=
+            spec->fields.end()) {
+      continue;
     }
+    error = util::strf("unknown field \"%s\" for verb %s", key.c_str(),
+                       spec->name);
+    return false;
   }
   if (const JsonValue* prio = doc.find("priority")) {
     if (!prio->is_string() || !parse_priority(prio->as_string(), out.priority)) {
@@ -365,251 +651,7 @@ bool parse_request(std::string_view line, WireRequest& out, std::string& error) 
       return false;
     }
   }
-
-  auto scenario_field = [&](const JsonValue& v, int& dst) {
-    uint64_t n = 0;
-    if (!as_uint(v, n) || n < 1 || n > 8) {
-      error = "\"scenario\" must be a Fig. 4 number in 1..8";
-      return false;
-    }
-    dst = static_cast<int>(n);
-    return true;
-  };
-  auto finite_number = [&](const JsonValue& v, const char* name, double& dst) {
-    if (!v.is_number() || !std::isfinite(v.as_number())) {
-      error = util::strf("\"%s\" must be a finite number", name);
-      return false;
-    }
-    dst = v.as_number();
-    return true;
-  };
-  auto trace_field = [&]() {
-    if (const JsonValue* t = doc.find("trace_id")) {
-      uint64_t v = 0;
-      if (!as_uint(*t, v)) {
-        error = "\"trace_id\" must be a non-negative integer";
-        return false;
-      }
-      out.trace_id = v;
-    }
-    return true;
-  };
-  auto deadline_field = [&]() {
-    if (const JsonValue* d = doc.find("deadline_ms")) {
-      uint64_t v = 0;
-      if (!as_uint(*d, v) || v == 0) {
-        error = "\"deadline_ms\" must be a positive integer";
-        return false;
-      }
-      out.deadline_ms = v;
-    }
-    return true;
-  };
-
-  switch (out.verb) {
-    case Verb::kPing:
-      break;
-    case Verb::kPlan: {
-      if (const JsonValue* s = doc.find("scenario")) {
-        if (!scenario_field(*s, out.scenario)) return false;
-      }
-      const JsonValue* pct = doc.find("load_pct");
-      const JsonValue* abs = doc.find("load");
-      if (pct == nullptr && abs == nullptr) {
-        error = "plan needs \"load_pct\" or \"load\"";
-        return false;
-      }
-      if (pct != nullptr && abs != nullptr) {
-        error = "plan takes \"load_pct\" or \"load\", not both";
-        return false;
-      }
-      if (pct != nullptr && !finite_number(*pct, "load_pct", out.load_pct)) {
-        return false;
-      }
-      if (abs != nullptr) {
-        double v = 0.0;
-        if (!finite_number(*abs, "load", v)) return false;
-        out.load_files_s = v;
-      }
-      if (const JsonValue* q = doc.find("quarantined")) {
-        if (!q->is_array()) {
-          error = "\"quarantined\" must be an array of machine indices";
-          return false;
-        }
-        for (const JsonValue& item : q->items()) {
-          uint64_t index = 0;
-          if (!as_uint(item, index)) {
-            error = "\"quarantined\" entries must be non-negative integers";
-            return false;
-          }
-          out.quarantined.push_back(static_cast<size_t>(index));
-        }
-      }
-      if (!trace_field()) return false;
-      if (!deadline_field()) return false;
-      break;
-    }
-    case Verb::kFleetplan: {
-      if (const JsonValue* s = doc.find("scenario")) {
-        if (!scenario_field(*s, out.scenario)) return false;
-      }
-      const JsonValue* pct = doc.find("load_pct");
-      const JsonValue* abs = doc.find("load");
-      if (pct == nullptr && abs == nullptr) {
-        error = "fleetplan needs \"load_pct\" or \"load\"";
-        return false;
-      }
-      if (pct != nullptr && abs != nullptr) {
-        error = "fleetplan takes \"load_pct\" or \"load\", not both";
-        return false;
-      }
-      if (pct != nullptr && !finite_number(*pct, "load_pct", out.load_pct)) {
-        return false;
-      }
-      if (abs != nullptr) {
-        double v = 0.0;
-        if (!finite_number(*abs, "load", v)) return false;
-        out.load_files_s = v;
-      }
-      if (const JsonValue* q = doc.find("quarantined")) {
-        if (!q->is_array()) {
-          error = "\"quarantined\" must be an array of "
-                  "{\"shard\",\"machine\"} objects";
-          return false;
-        }
-        for (const JsonValue& item : q->items()) {
-          const JsonValue* shard = item.find("shard");
-          const JsonValue* machine = item.find("machine");
-          uint64_t s_index = 0;
-          uint64_t m_index = 0;
-          if (!item.is_object() || item.members().size() != 2 ||
-              shard == nullptr || machine == nullptr ||
-              !as_uint(*shard, s_index) || !as_uint(*machine, m_index)) {
-            error = "\"quarantined\" entries must be objects with exactly "
-                    "non-negative integer \"shard\" and \"machine\"";
-            return false;
-          }
-          out.fleet_quarantined.push_back(
-              fleet::ShardMachine{static_cast<size_t>(s_index),
-                                  static_cast<size_t>(m_index)});
-        }
-      }
-      if (const JsonValue* d = doc.find("down_shards")) {
-        if (!d->is_array()) {
-          error = "\"down_shards\" must be an array of shard indices";
-          return false;
-        }
-        for (const JsonValue& item : d->items()) {
-          uint64_t index = 0;
-          if (!as_uint(item, index)) {
-            error = "\"down_shards\" entries must be non-negative integers";
-            return false;
-          }
-          out.down_shards.push_back(static_cast<size_t>(index));
-        }
-      }
-      if (!trace_field()) return false;
-      if (!deadline_field()) return false;
-      break;
-    }
-    case Verb::kMeasure: {
-      if (const JsonValue* s = doc.find("scenario")) {
-        if (!scenario_field(*s, out.scenario)) return false;
-      }
-      const JsonValue* pct = doc.find("load_pct");
-      if (pct == nullptr) {
-        error = "measure needs \"load_pct\"";
-        return false;
-      }
-      if (!finite_number(*pct, "load_pct", out.load_pct)) return false;
-      break;
-    }
-    case Verb::kSweep: {
-      if (const JsonValue* s = doc.find("scenarios")) {
-        if (!s->is_array() || s->items().empty()) {
-          error = "\"scenarios\" must be a non-empty array of Fig. 4 numbers";
-          return false;
-        }
-        for (const JsonValue& item : s->items()) {
-          int number = 0;
-          if (!scenario_field(item, number)) {
-            error = "\"scenarios\" entries must be Fig. 4 numbers in 1..8";
-            return false;
-          }
-          out.scenarios.push_back(number);
-        }
-      }
-      if (const JsonValue* l = doc.find("load_pcts")) {
-        if (!l->is_array() || l->items().empty()) {
-          error = "\"load_pcts\" must be a non-empty array of numbers";
-          return false;
-        }
-        for (const JsonValue& item : l->items()) {
-          double v = 0.0;
-          if (!finite_number(item, "load_pcts", v)) return false;
-          out.load_pcts.push_back(v);
-        }
-      }
-      break;
-    }
-    case Verb::kInject: {
-      if (const JsonValue* f = doc.find("fault")) {
-        if (!f->is_string()) {
-          error = "\"fault\" must be a scenario name string";
-          return false;
-        }
-        out.fault = f->as_string();
-      }
-      if (const JsonValue* d = doc.find("defense")) {
-        if (!d->is_string()) {
-          error = "\"defense\" must be none|watchdog|supervisor";
-          return false;
-        }
-        out.defense = d->as_string();
-      }
-      out.load_pct = 60.0;
-      if (const JsonValue* pct = doc.find("load_pct")) {
-        if (!finite_number(*pct, "load_pct", out.load_pct)) return false;
-      }
-      if (const JsonValue* dur = doc.find("duration_s")) {
-        if (!finite_number(*dur, "duration_s", out.duration_s)) return false;
-        if (out.duration_s <= 0.0) {
-          error = "\"duration_s\" must be positive";
-          return false;
-        }
-      }
-      if (const JsonValue* cp = doc.find("control_period_s")) {
-        if (!finite_number(*cp, "control_period_s", out.control_period_s)) {
-          return false;
-        }
-        if (out.control_period_s <= 0.0) {
-          error = "\"control_period_s\" must be positive";
-          return false;
-        }
-      }
-      break;
-    }
-    case Verb::kSubscribe: {
-      if (const JsonValue* i = doc.find("interval_ms")) {
-        uint64_t v = 0;
-        if (!as_uint(*i, v) || v == 0) {
-          error = "\"interval_ms\" must be a positive integer";
-          return false;
-        }
-        out.interval_ms = v;  // clamped to the server bounds at admission
-      }
-      if (const JsonValue* t = doc.find("ticks")) {
-        if (!as_uint(*t, out.ticks)) {
-          error = "\"ticks\" must be a non-negative integer (0 = unbounded)";
-          return false;
-        }
-      }
-      break;
-    }
-    case Verb::kHealth:
-      break;
-  }
-  return true;
+  return spec->parse(doc, out, error);
 }
 
 // --- encoding ---
@@ -620,7 +662,7 @@ namespace {
 void begin_response(obs::JsonWriter& w, uint64_t id, Verb verb, bool ok) {
   w.begin_object();
   w.kv("id", static_cast<uint64_t>(id));
-  w.kv("verb", to_string(verb));
+  w.kv("verb", verb_spec(verb).name);
   w.kv("ok", ok);
 }
 
@@ -668,6 +710,33 @@ void write_trace_object(obs::JsonWriter& w, const obs::SpanContext& spans) {
   w.end_object();
 }
 
+void write_plan_or_null(obs::JsonWriter& w,
+                        const std::optional<core::Plan>& plan) {
+  if (plan.has_value()) {
+    write_plan_object(w, *plan);
+  } else {
+    w.value_null();
+  }
+}
+
+/// One ok:true response: the envelope, "result" written by `result`, then
+/// the trace block and the deadline echo, each only when present so their
+/// absence keeps the historical bytes.
+template <class Result>
+std::string respond(uint64_t id, Verb verb, Result&& result,
+                    const obs::SpanContext* spans = nullptr,
+                    std::optional<uint64_t> deadline_ms = std::nullopt) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  begin_response(w, id, verb, true);
+  w.key("result");
+  result(w);
+  if (spans != nullptr) write_trace_object(w, *spans);
+  if (deadline_ms.has_value()) w.kv("deadline_ms", *deadline_ms);
+  w.end_object();
+  return os.str();
+}
+
 void write_point_object(obs::JsonWriter& w, const control::EvalPoint& point) {
   w.begin_object();
   w.kv("scenario", static_cast<uint64_t>(point.scenario.number));
@@ -708,36 +777,34 @@ std::string encode_error(uint64_t id, Verb verb, std::string_view code,
   return os.str();
 }
 
+bool serves(const ServerInfo& info, Verb verb) {
+  switch (verb_spec(verb).backing) {
+    case Backing::kAny: return true;
+    case Backing::kSimulator: return info.sim_backed;
+    case Backing::kFleet: return info.fleet_shards > 0;
+  }
+  return false;
+}
+
 std::string encode_ping_response(uint64_t id, const ServerInfo& info) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kPing, true);
-  w.key("result");
-  w.begin_object();
-  w.kv("machines", static_cast<uint64_t>(info.machines));
-  w.kv("capacity_files_s", info.capacity_files_s);
-  w.kv("queue_capacity", static_cast<uint64_t>(info.queue_capacity));
-  w.kv("workers", static_cast<uint64_t>(info.workers));
-  w.kv("sim_backed", info.sim_backed);
-  if (info.fleet_shards > 0) {
-    w.kv("fleet_shards", static_cast<uint64_t>(info.fleet_shards));
-  }
-  w.key("verbs");
-  w.begin_array();
-  w.value("ping");
-  w.value("plan");
-  if (info.fleet_shards > 0) w.value("fleetplan");
-  if (info.sim_backed) {
-    w.value("measure");
-    w.value("sweep");
-    w.value("inject");
-  }
-  w.value("subscribe");
-  w.value("health");
-  w.end_array();
-  w.end_object();
-  w.end_object();
-  return os.str();
+  return respond(id, Verb::kPing, [&](obs::JsonWriter& w) {
+    w.begin_object();
+    w.kv("machines", static_cast<uint64_t>(info.machines));
+    w.kv("capacity_files_s", info.capacity_files_s);
+    w.kv("queue_capacity", static_cast<uint64_t>(info.queue_capacity));
+    w.kv("workers", static_cast<uint64_t>(info.workers));
+    w.kv("sim_backed", info.sim_backed);
+    if (info.fleet_shards > 0) {
+      w.kv("fleet_shards", static_cast<uint64_t>(info.fleet_shards));
+    }
+    w.key("verbs");
+    w.begin_array();
+    for (const VerbSpec& spec : kVerbSpecs) {
+      if (serves(info, spec.verb)) w.value(spec.name);
+    }
+    w.end_array();
+    w.end_object();
+  });
 }
 
 std::string encode_plan_response(uint64_t id, const core::PlanResult& result,
@@ -746,188 +813,153 @@ std::string encode_plan_response(uint64_t id, const core::PlanResult& result,
   if (!result.error.empty()) {
     return encode_error(id, Verb::kPlan, kErrInvalidArgument, result.error);
   }
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kPlan, true);
-  w.key("result");
-  w.begin_object();
-  // Shard attribution only for fleet-fanned requests, so monolithic plan
-  // responses keep their exact historical bytes.
-  if (result.shard >= 0) {
-    w.kv("shard", static_cast<uint64_t>(result.shard));
-  }
-  w.kv("feasible", result.feasible());
-  w.kv("shed_load", result.shed_load);
-  if (result.shed_load > 0.0) {
-    w.key("shed_priority");
-    w.begin_array();
-    for (const size_t index : result.shed_priority) {
-      w.value(static_cast<uint64_t>(index));
-    }
-    w.end_array();
-  }
-  w.key("plan");
-  if (result.plan.has_value()) {
-    write_plan_object(w, *result.plan);
-  } else {
-    w.value_null();
-  }
-  w.end_object();
-  if (spans != nullptr) write_trace_object(w, *spans);
-  if (deadline_ms.has_value()) w.kv("deadline_ms", *deadline_ms);
-  w.end_object();
-  return os.str();
+  return respond(
+      id, Verb::kPlan,
+      [&](obs::JsonWriter& w) {
+        w.begin_object();
+        // Shard attribution only for fleet-fanned requests, so monolithic
+        // plan responses keep their exact historical bytes.
+        if (result.shard >= 0) {
+          w.kv("shard", static_cast<uint64_t>(result.shard));
+        }
+        w.kv("feasible", result.feasible());
+        w.kv("shed_load", result.shed_load);
+        if (result.shed_load > 0.0) {
+          w.key("shed_priority");
+          w.begin_array();
+          for (const size_t index : result.shed_priority) {
+            w.value(static_cast<uint64_t>(index));
+          }
+          w.end_array();
+        }
+        w.key("plan");
+        write_plan_or_null(w, result.plan);
+        w.end_object();
+      },
+      spans, deadline_ms);
 }
 
 std::string encode_fleetplan_response(uint64_t id,
                                       const fleet::FleetPlanResult& result,
                                       const obs::SpanContext* spans,
                                       std::optional<uint64_t> deadline_ms) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kFleetplan, true);
-  w.key("result");
-  w.begin_object();
-  w.kv("feasible", result.feasible());
-  w.kv("total_power_w", result.total_power_w);
-  w.kv("unassigned_load", result.unassigned_load);
-  w.kv("shed_load", result.shed_load);
-  // Degradation accounting appears only when shards are down, keeping
-  // fully healthy responses byte-identical to their historical form.
-  if (result.shards_down() > 0) {
-    w.kv("shards_down", static_cast<uint64_t>(result.shards_down()));
-    w.kv("redistributed_load", result.redistributed_load);
-  }
-  w.key("shard_loads");
-  w.begin_array();
-  for (const double load : result.shard_loads) w.value(load);
-  w.end_array();
-  w.key("shards");
-  w.begin_array();
-  for (size_t s = 0; s < result.shard_results.size(); ++s) {
-    const core::PlanResult& r = result.shard_results[s];
-    w.begin_object();
-    w.kv("shard", static_cast<uint64_t>(s));
-    const fleet::ShardStatus status = s < result.shard_status.size()
-                                          ? result.shard_status[s]
-                                          : fleet::ShardStatus::kOk;
-    if (status != fleet::ShardStatus::kOk) {
-      w.kv("status", fleet::to_string(status));
-    }
-    if (!r.error.empty()) w.kv("error", r.error);
-    w.kv("feasible", r.feasible());
-    w.kv("shed_load", r.shed_load);
-    w.key("plan");
-    if (r.plan.has_value()) {
-      write_plan_object(w, *r.plan);
-    } else {
-      w.value_null();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  if (spans != nullptr) write_trace_object(w, *spans);
-  if (deadline_ms.has_value()) w.kv("deadline_ms", *deadline_ms);
-  w.end_object();
-  return os.str();
+  return respond(
+      id, Verb::kFleetplan,
+      [&](obs::JsonWriter& w) {
+        w.begin_object();
+        w.kv("feasible", result.feasible());
+        w.kv("total_power_w", result.total_power_w);
+        w.kv("unassigned_load", result.unassigned_load);
+        w.kv("shed_load", result.shed_load);
+        // Degradation accounting appears only when shards are down, keeping
+        // fully healthy responses byte-identical to their historical form.
+        if (result.shards_down() > 0) {
+          w.kv("shards_down", static_cast<uint64_t>(result.shards_down()));
+          w.kv("redistributed_load", result.redistributed_load);
+        }
+        w.key("shard_loads");
+        w.begin_array();
+        for (const double load : result.shard_loads) w.value(load);
+        w.end_array();
+        w.key("shards");
+        w.begin_array();
+        for (size_t s = 0; s < result.shard_results.size(); ++s) {
+          const core::PlanResult& r = result.shard_results[s];
+          w.begin_object();
+          w.kv("shard", static_cast<uint64_t>(s));
+          const fleet::ShardStatus status = s < result.shard_status.size()
+                                                ? result.shard_status[s]
+                                                : fleet::ShardStatus::kOk;
+          if (status != fleet::ShardStatus::kOk) {
+            w.kv("status", fleet::to_string(status));
+          }
+          if (!r.error.empty()) w.kv("error", r.error);
+          w.kv("feasible", r.feasible());
+          w.kv("shed_load", r.shed_load);
+          w.key("plan");
+          write_plan_or_null(w, r.plan);
+          w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+      },
+      spans, deadline_ms);
 }
 
 std::string encode_measure_response(uint64_t id,
                                     const control::EvalPoint& point) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kMeasure, true);
-  w.key("result");
-  write_point_object(w, point);
-  w.end_object();
-  return os.str();
+  return respond(id, Verb::kMeasure,
+                 [&](obs::JsonWriter& w) { write_point_object(w, point); });
 }
 
 std::string encode_sweep_response(uint64_t id,
                                   std::span<const control::EvalPoint> points) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kSweep, true);
-  w.key("result");
-  w.begin_object();
-  w.kv("points_len", static_cast<uint64_t>(points.size()));
-  w.key("points");
-  w.begin_array();
-  for (const control::EvalPoint& point : points) write_point_object(w, point);
-  w.end_array();
-  w.end_object();
-  w.end_object();
-  return os.str();
+  return respond(id, Verb::kSweep, [&](obs::JsonWriter& w) {
+    w.begin_object();
+    w.kv("points_len", static_cast<uint64_t>(points.size()));
+    w.key("points");
+    w.begin_array();
+    for (const control::EvalPoint& point : points) write_point_object(w, point);
+    w.end_array();
+    w.end_object();
+  });
 }
 
 std::string encode_inject_response(uint64_t id,
                                    const control::FaultCampaignResult& result) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kInject, true);
-  w.key("result");
-  w.begin_object();
-  w.kv("fault", result.scenario);
-  w.kv("defense", control::to_string(result.defense));
-  w.kv("demand_files_s", result.demand_files_s);
-  w.kv("t_max_c", result.t_max_c);
-  w.kv("violation_s", result.violation_s);
-  w.kv("peak_cpu_c", result.peak_cpu_c);
-  w.kv("shed_files", result.shed_files);
-  w.kv("energy_j", result.energy_j);
-  w.kv("final_total_power_w", result.final_total_power_w);
-  w.kv("final_throughput_files_s", result.final_throughput_files_s);
-  w.kv("fault_events", static_cast<uint64_t>(result.fault_events));
-  w.kv("quarantines", static_cast<uint64_t>(result.quarantines));
-  w.kv("readmissions", static_cast<uint64_t>(result.readmissions));
-  w.kv("emergency_overrides",
-       static_cast<uint64_t>(result.emergency_overrides));
-  w.kv("watchdog_interventions",
-       static_cast<uint64_t>(result.watchdog_interventions));
-  w.end_object();
-  w.end_object();
-  return os.str();
+  return respond(id, Verb::kInject, [&](obs::JsonWriter& w) {
+    w.begin_object();
+    w.kv("fault", result.scenario);
+    w.kv("defense", control::to_string(result.defense));
+    w.kv("demand_files_s", result.demand_files_s);
+    w.kv("t_max_c", result.t_max_c);
+    w.kv("violation_s", result.violation_s);
+    w.kv("peak_cpu_c", result.peak_cpu_c);
+    w.kv("shed_files", result.shed_files);
+    w.kv("energy_j", result.energy_j);
+    w.kv("final_total_power_w", result.final_total_power_w);
+    w.kv("final_throughput_files_s", result.final_throughput_files_s);
+    w.kv("fault_events", static_cast<uint64_t>(result.fault_events));
+    w.kv("quarantines", static_cast<uint64_t>(result.quarantines));
+    w.kv("readmissions", static_cast<uint64_t>(result.readmissions));
+    w.kv("emergency_overrides",
+         static_cast<uint64_t>(result.emergency_overrides));
+    w.kv("watchdog_interventions",
+         static_cast<uint64_t>(result.watchdog_interventions));
+    w.end_object();
+  });
 }
 
 std::string encode_subscribe_response(uint64_t id, uint64_t interval_ms,
                                       uint64_t ticks) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kSubscribe, true);
-  w.key("result");
-  w.begin_object();
-  w.kv("interval_ms", interval_ms);
-  w.kv("ticks", ticks);
-  w.end_object();
-  w.end_object();
-  return os.str();
+  return respond(id, Verb::kSubscribe, [&](obs::JsonWriter& w) {
+    w.begin_object();
+    w.kv("interval_ms", interval_ms);
+    w.kv("ticks", ticks);
+    w.end_object();
+  });
 }
 
 std::string encode_health_response(uint64_t id, const HealthInfo& health) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  begin_response(w, id, Verb::kHealth, true);
-  w.key("result");
-  w.begin_object();
-  w.kv("queue_depth", static_cast<uint64_t>(health.queue_depth));
-  w.kv("queue_capacity", static_cast<uint64_t>(health.queue_capacity));
-  w.kv("workers", static_cast<uint64_t>(health.workers));
-  w.kv("draining", health.draining);
-  if (!health.shard_status.empty()) {
-    w.key("shards");
-    w.begin_array();
-    for (size_t s = 0; s < health.shard_status.size(); ++s) {
-      w.begin_object();
-      w.kv("shard", static_cast<uint64_t>(s));
-      w.kv("status", health.shard_status[s]);
-      w.end_object();
+  return respond(id, Verb::kHealth, [&](obs::JsonWriter& w) {
+    w.begin_object();
+    w.kv("queue_depth", static_cast<uint64_t>(health.queue_depth));
+    w.kv("queue_capacity", static_cast<uint64_t>(health.queue_capacity));
+    w.kv("workers", static_cast<uint64_t>(health.workers));
+    w.kv("draining", health.draining);
+    if (!health.shard_status.empty()) {
+      w.key("shards");
+      w.begin_array();
+      for (size_t s = 0; s < health.shard_status.size(); ++s) {
+        w.begin_object();
+        w.kv("shard", static_cast<uint64_t>(s));
+        w.kv("status", health.shard_status[s]);
+        w.end_object();
+      }
+      w.end_array();
     }
-    w.end_array();
-  }
-  w.end_object();
-  w.end_object();
-  return os.str();
+    w.end_object();
+  });
 }
 
 std::string encode_telemetry_tick(uint64_t subscription_id, uint64_t tick,
@@ -970,100 +1002,14 @@ std::string encode_telemetry_tick(uint64_t subscription_id, uint64_t tick,
 }
 
 std::string encode_request(const WireRequest& request) {
+  const VerbSpec& spec = verb_spec(request.verb);
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
   w.kv("id", static_cast<uint64_t>(request.id));
-  w.kv("verb", to_string(request.verb));
+  w.kv("verb", spec.name);
   w.kv("priority", to_string(request.priority));
-  switch (request.verb) {
-    case Verb::kPing:
-      break;
-    case Verb::kPlan:
-      w.kv("scenario", static_cast<uint64_t>(request.scenario));
-      if (request.load_files_s.has_value()) {
-        w.kv("load", *request.load_files_s);
-      } else {
-        w.kv("load_pct", request.load_pct);
-      }
-      if (!request.quarantined.empty()) {
-        w.key("quarantined");
-        w.begin_array();
-        for (const size_t index : request.quarantined) {
-          w.value(static_cast<uint64_t>(index));
-        }
-        w.end_array();
-      }
-      if (request.trace_id.has_value()) w.kv("trace_id", *request.trace_id);
-      if (request.deadline_ms.has_value()) {
-        w.kv("deadline_ms", *request.deadline_ms);
-      }
-      break;
-    case Verb::kFleetplan:
-      w.kv("scenario", static_cast<uint64_t>(request.scenario));
-      if (request.load_files_s.has_value()) {
-        w.kv("load", *request.load_files_s);
-      } else {
-        w.kv("load_pct", request.load_pct);
-      }
-      if (!request.fleet_quarantined.empty()) {
-        w.key("quarantined");
-        w.begin_array();
-        for (const fleet::ShardMachine& q : request.fleet_quarantined) {
-          w.begin_object();
-          w.kv("shard", static_cast<uint64_t>(q.shard));
-          w.kv("machine", static_cast<uint64_t>(q.machine));
-          w.end_object();
-        }
-        w.end_array();
-      }
-      if (!request.down_shards.empty()) {
-        w.key("down_shards");
-        w.begin_array();
-        for (const size_t index : request.down_shards) {
-          w.value(static_cast<uint64_t>(index));
-        }
-        w.end_array();
-      }
-      if (request.trace_id.has_value()) w.kv("trace_id", *request.trace_id);
-      if (request.deadline_ms.has_value()) {
-        w.kv("deadline_ms", *request.deadline_ms);
-      }
-      break;
-    case Verb::kMeasure:
-      w.kv("scenario", static_cast<uint64_t>(request.scenario));
-      w.kv("load_pct", request.load_pct);
-      break;
-    case Verb::kSweep:
-      if (!request.scenarios.empty()) {
-        w.key("scenarios");
-        w.begin_array();
-        for (const int number : request.scenarios) {
-          w.value(static_cast<uint64_t>(number));
-        }
-        w.end_array();
-      }
-      if (!request.load_pcts.empty()) {
-        w.key("load_pcts");
-        w.begin_array();
-        for (const double pct : request.load_pcts) w.value(pct);
-        w.end_array();
-      }
-      break;
-    case Verb::kInject:
-      w.kv("fault", request.fault);
-      w.kv("defense", request.defense);
-      w.kv("load_pct", request.load_pct);
-      w.kv("duration_s", request.duration_s);
-      w.kv("control_period_s", request.control_period_s);
-      break;
-    case Verb::kSubscribe:
-      w.kv("interval_ms", request.interval_ms);
-      if (request.ticks > 0) w.kv("ticks", request.ticks);
-      break;
-    case Verb::kHealth:
-      break;
-  }
+  spec.encode(w, request);
   w.end_object();
   return os.str();
 }

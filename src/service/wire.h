@@ -26,6 +26,7 @@
 #include "control/fault_campaign.h"
 #include "core/engine.h"
 #include "fleet/fleet_engine.h"
+#include "obs/json_writer.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 
@@ -76,6 +77,7 @@ inline constexpr size_t kMaxJsonDepth = 32;
 
 // --- protocol: requests ---
 
+/// One VerbSpec row per verb (verb_spec below); kHealth stays last.
 enum class Verb {
   kPing,
   kPlan,
@@ -86,10 +88,12 @@ enum class Verb {
   kSubscribe,
   kHealth,
 };
+inline constexpr size_t kVerbCount = static_cast<size_t>(Verb::kHealth) + 1;
 enum class Priority { kHigh, kNormal, kLow };
 
-const char* to_string(Verb verb);
 const char* to_string(Priority priority);
+/// Inverse of to_string(Priority); false for an unknown name.
+bool parse_priority(std::string_view name, Priority& out);
 
 /// One decoded request line. Defaults are what an omitted optional field
 /// means (docs/service.md lists required vs optional per verb).
@@ -154,6 +158,42 @@ inline constexpr uint64_t kMaxTickIntervalMs = 60000;
 /// peer (docs/service.md "Framing").
 inline constexpr size_t kMaxLineBytes = 1 << 20;
 
+// --- protocol: the verb table (docs/service.md "Adding a verb") ---
+
+/// Queued verbs pass admission and run on a pool worker; reader-plane verbs
+/// are answered on the connection's reader thread, never queued.
+enum class Plane { kQueued, kReader };
+/// What a server needs behind it to answer a verb.
+enum class Backing { kAny, kSimulator, kFleet };
+
+/// One row per wire verb: everything the protocol, server and client know.
+struct VerbSpec {
+  Verb verb;
+  const char* name;
+  std::span<const std::string_view> fields;  ///< beyond id/verb/priority
+  bool (*parse)(const JsonValue& doc, WireRequest& out, std::string& error);
+  void (*encode)(obs::JsonWriter& w, const WireRequest& request);
+  bool idempotent;         ///< call_with_retry may resend it
+  Plane plane;
+  Backing backing;
+  const char* latency_us;  ///< admission-to-write histogram; null if unqueued
+};
+
+const VerbSpec& verb_spec(Verb verb);
+const VerbSpec* find_verb(std::string_view name);  ///< nullptr if unknown
+/// Every verb name in table order, joined by `separator`.
+std::string verb_names(std::string_view separator);
+
+/// rows[i].verb == Verb(i) for exactly kVerbCount rows: the static_assert
+/// behind every Verb-indexed table.
+template <class Row, size_t N>
+constexpr bool covers_verbs(const Row (&rows)[N]) {
+  for (size_t i = 0; i < N; ++i) {
+    if (rows[i].verb != static_cast<Verb>(i)) return false;
+  }
+  return N == kVerbCount;
+}
+
 /// Decodes one request line. On failure returns false, fills `error` with
 /// a human-readable reason, and still recovers the request `id` when the
 /// line was well-formed JSON (so the error response can be correlated).
@@ -194,6 +234,10 @@ struct ServerInfo {
   /// ping response omits the field and the verb, keeping old bytes).
   size_t fleet_shards = 0;
 };
+
+/// Whether a server described by `info` answers `verb` (its row's
+/// backing); the ping response lists exactly these verbs.
+bool serves(const ServerInfo& info, Verb verb);
 
 std::string encode_ping_response(uint64_t id, const ServerInfo& info);
 /// Plan responses: `spans` non-null appends a "trace" block (trace_id +

@@ -223,7 +223,10 @@ TEST(MetricsRegistry, InstrumentReferencesStayValid) {
   Counter& first = registry.counter("a");
   first.inc();
   // Creating more instruments must not invalidate the reference.
-  for (int i = 0; i < 100; ++i) registry.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "c";
+    registry.counter(name.append(std::to_string(i)));
+  }
   first.inc();
   EXPECT_EQ(registry.counter("a").value(), 2u);
   EXPECT_EQ(&registry.counter("a"), &first);

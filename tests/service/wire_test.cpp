@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <string>
 
 #include "core/synthetic.h"
 #include "obs/json_writer.h"
+#include "service/client.h"
 
 namespace coolopt::service {
 namespace {
@@ -212,6 +218,8 @@ TEST(ParseRequest, InjectFieldsAndDefaults) {
   EXPECT_EQ(s.defense, "none");
   EXPECT_DOUBLE_EQ(s.duration_s, 600.0);
   request_fail(R"({"id":1,"verb":"inject","duration_s":-5})", 1);
+  request_fail(R"({"id":1,"verb":"inject","load_pct":0})", 1);
+  request_fail(R"({"id":1,"verb":"inject","load_pct":-5})", 1);
 }
 
 TEST(ParseRequest, NonObjectAndBadIdRejected) {
@@ -610,6 +618,112 @@ TEST(EncodeResponse, HealthResponseReportsQueueAndShards) {
   EXPECT_DOUBLE_EQ(shards->items()[2].find("shard")->as_number(), 2.0);
   EXPECT_EQ(shards->items()[2].find("status")->as_string(), "down");
   EXPECT_TRUE(fleet.find("result")->find("draining")->as_bool());
+}
+
+// --- the verb table ---
+
+/// A request with every field off its default, so a field that a verb's
+/// encoder or parser drops shows up in the round trip.
+WireRequest populated(Verb verb, bool absolute_load) {
+  WireRequest r;
+  r.id = 77;
+  r.verb = verb;
+  r.priority = Priority::kHigh;
+  r.scenario = 3;
+  r.load_pct = 42.5;
+  if (absolute_load) r.load_files_s = 310.25;
+  r.quarantined = {1, 4};
+  r.fleet_quarantined = {fleet::ShardMachine{1, 2}};
+  r.down_shards = {0};
+  r.scenarios = {2, 6};
+  r.load_pcts = {15.0, 85.5};
+  r.fault = "sensor-storm";
+  r.defense = "watchdog";
+  r.duration_s = 900.0;
+  r.control_period_s = 10.0;
+  r.trace_id = 5;
+  r.deadline_ms = 250;
+  r.interval_ms = 500;
+  r.ticks = 4;
+  return r;
+}
+
+/// A loopback port with nothing listening: connects are refused at once.
+uint16_t refused_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  ::close(fd);
+  return ntohs(addr.sin_port);
+}
+
+TEST(VerbTable, EveryVerbRoundTripsAndKeepsItsRules) {
+  const uint16_t dead_port = refused_port();
+  for (size_t i = 0; i < kVerbCount; ++i) {
+    const Verb verb = static_cast<Verb>(i);
+    const VerbSpec& spec = verb_spec(verb);
+    SCOPED_TRACE(spec.name);
+
+    // name -> enum -> name
+    EXPECT_EQ(spec.verb, verb);
+    const VerbSpec* found = find_verb(spec.name);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->verb, verb);
+
+    // encode_request -> parse_request keeps every field the verb carries,
+    // and every whitelisted field is one the encoder can emit.
+    std::string lines;
+    for (const bool absolute_load : {false, true}) {
+      const std::string line = encode_request(populated(verb, absolute_load));
+      const WireRequest back = request_ok(line);
+      EXPECT_EQ(back.id, 77u);
+      EXPECT_EQ(back.verb, verb);
+      EXPECT_EQ(back.priority, Priority::kHigh);
+      EXPECT_EQ(encode_request(back), line);
+      lines += line;
+    }
+    for (const std::string_view field : spec.fields) {
+      std::string key = "\"";
+      key.append(field).append("\":");
+      EXPECT_NE(lines.find(key), std::string::npos) << field;
+    }
+
+    // call_with_retry resends only idempotent verbs: inject (runs a
+    // campaign) and subscribe (registers a stream) get one attempt.
+    const bool idempotent = verb != Verb::kInject && verb != Verb::kSubscribe;
+    EXPECT_EQ(spec.idempotent, idempotent);
+    ServiceClient client;
+    EXPECT_FALSE(client.connect("127.0.0.1", dead_port));
+    ServiceClient::RetryPolicy policy;
+    policy.attempts = 3;
+    policy.base_backoff_ms = 1;
+    policy.max_backoff_ms = 1;
+    WireRequest request;
+    request.verb = verb;
+    EXPECT_FALSE(client.call_with_retry(request, policy).has_value());
+    EXPECT_EQ(client.last_attempts(), idempotent ? 3 : 1);
+
+    // A field no verb allows is rejected by name.
+    std::string line = R"({"id":4,"verb":")";
+    line.append(spec.name).append(R"(","no_such_field":1})");
+    std::string expected = "unknown field \"no_such_field\" for verb ";
+    EXPECT_EQ(request_fail(line, 4), expected.append(spec.name));
+    for (size_t j = 0; j < kVerbCount; ++j) {
+      for (const std::string_view field :
+           verb_spec(static_cast<Verb>(j)).fields) {
+        EXPECT_NE(field, "no_such_field");
+      }
+    }
+  }
+  EXPECT_EQ(find_verb("PING"), nullptr);
+  // The unknown-verb message lists the table, byte for byte as before.
+  EXPECT_EQ(request_fail(R"({"id":5,"verb":"nope"})", 5),
+            "\"verb\" must be one of "
+            "ping|plan|fleetplan|measure|sweep|inject|subscribe|health");
 }
 
 TEST(ErrorCodes, DeadlineExceededIsMachineReadable) {

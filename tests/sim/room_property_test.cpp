@@ -102,11 +102,19 @@ INSTANTIATE_TEST_SUITE_P(
         RoomCase{7, 31.0, 0.1, 1.0, 7}, RoomCase{30, 23.0, 0.7, 1.0, 8}),
     [](const ::testing::TestParamInfo<RoomCase>& info) {
       const RoomCase& c = info.param;
-      return "n" + std::to_string(c.servers) + "_sp" +
-             std::to_string(static_cast<int>(c.setpoint_c)) + "_u" +
-             std::to_string(static_cast<int>(c.utilization * 100)) + "_d" +
-             std::to_string(static_cast<int>(c.diversity * 100)) + "_s" +
-             std::to_string(c.seed);
+      // Appended piece by piece: `"literal" + std::string&&` trips a GCC 12
+      // -Wrestrict false positive at -O3.
+      std::string name = "n";
+      name.append(std::to_string(c.servers))
+          .append("_sp")
+          .append(std::to_string(static_cast<int>(c.setpoint_c)))
+          .append("_u")
+          .append(std::to_string(static_cast<int>(c.utilization * 100)))
+          .append("_d")
+          .append(std::to_string(static_cast<int>(c.diversity * 100)))
+          .append("_s")
+          .append(std::to_string(c.seed));
+      return name;
     });
 
 }  // namespace

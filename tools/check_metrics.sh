@@ -17,8 +17,12 @@ if [ ! -f "$CATALOG" ]; then
 fi
 
 failures=0
-emitted=$(grep -rhoE 'obs::(count|gauge_set|observe|maybe_histogram)\("[^"]+"' src |
-  sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
+# Emission sites: the obs helpers called with a literal name, plus the
+# per-verb latency histograms named in the VerbSpec rows of
+# src/service/wire.cpp (run_job observes a row's latency_us).
+sites='obs::(count|gauge_set|observe|maybe_histogram)\("[^"]+"'
+rows='"service\.latency\.[a-z_]+_us"'
+emitted=$(grep -rhoE "$sites|$rows" src | sed -E 's/.*"([^"]+)"$/\1/' | sort -u)
 
 if [ -z "$emitted" ]; then
   echo "check_metrics: found no instrumented sites under src/ — the grep is broken" >&2

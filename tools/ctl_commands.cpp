@@ -1,5 +1,6 @@
 #include "tools/ctl_commands.h"
 
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -39,6 +40,29 @@ constexpr const char* kUsage =
     "\n"
     "Run `cooloptctl <command> --help` for the command's flags.\n";
 
+/// Parses a command's flags. Returns the exit code when the command ends
+/// here (2 on a bad flag, 0 after printing --help), nullopt to run on.
+std::optional<int> parse_flags(util::CliFlags& flags, int argc,
+                               const char* const* argv, const char* usage,
+                               std::ostream& out, std::ostream& err) {
+  std::string error;
+  if (!flags.parse(argc, argv, error)) {
+    err << error << "\n";
+    return 2;
+  }
+  if (flags.help_requested()) {
+    out << flags.usage(usage);
+    return 0;
+  }
+  return std::nullopt;
+}
+
+void define_room_flags(util::CliFlags& flags) {
+  flags.define("servers", "machines in the room", "20");
+  flags.define("racks", "racks in the room", "1");
+  flags.define("seed", "simulation seed", "42");
+}
+
 sim::RoomConfig room_from_flags(const util::CliFlags& flags) {
   sim::RoomConfig cfg;
   cfg.num_servers = static_cast<size_t>(flags.get_int("servers", 20));
@@ -49,19 +73,12 @@ sim::RoomConfig room_from_flags(const util::CliFlags& flags) {
 
 int cmd_profile(util::CliFlags& flags, int argc, const char* const* argv,
                 std::ostream& out, std::ostream& err) {
-  flags.define("servers", "machines in the room", "20");
-  flags.define("racks", "racks in the room", "1");
-  flags.define("seed", "simulation seed", "42");
+  define_room_flags(flags);
   flags.define("out", "path for the fitted model CSV", "room_model.csv");
   flags.define("full", "paper-length campaign instead of the fast preset", "false");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage("cooloptctl profile");
-    return 0;
+  if (const auto done =
+          parse_flags(flags, argc, argv, "cooloptctl profile", out, err)) {
+    return *done;
   }
 
   sim::MachineRoom room(room_from_flags(flags));
@@ -85,21 +102,18 @@ struct PlanArgs {
   double load = 0.0;
 };
 
-int parse_plan_args(util::CliFlags& flags, int argc, const char* const* argv,
-                    const char* name, std::ostream& out, std::ostream& err,
-                    PlanArgs& parsed) {
+/// Like parse_flags: the exit code when the command ends here, nullopt
+/// with `parsed` filled to run on.
+std::optional<int> parse_plan_args(util::CliFlags& flags, int argc,
+                                   const char* const* argv, const char* name,
+                                   std::ostream& out, std::ostream& err,
+                                   PlanArgs& parsed) {
   flags.define("model", "path to a model CSV from `cooloptctl profile`",
                "room_model.csv");
   flags.define("scenario", "Fig. 4 scenario number (1-8)", "8");
   flags.define("load-pct", "total load, percent of capacity", "50");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage(name);
-    return 1;  // handled, but no work
+  if (const auto done = parse_flags(flags, argc, argv, name, out, err)) {
+    return done;
   }
   try {
     parsed.model = profiling::load_model(flags.get_string("model", "room_model.csv"));
@@ -115,7 +129,7 @@ int parse_plan_args(util::CliFlags& flags, int argc, const char* const* argv,
   }
   parsed.load =
       parsed.model.total_capacity() * flags.get_double("load-pct", 50.0) / 100.0;
-  return 0;
+  return std::nullopt;
 }
 
 void print_plan(const core::RoomModel& model, const core::Plan& plan,
@@ -142,8 +156,10 @@ void print_plan(const core::RoomModel& model, const core::Plan& plan,
 int cmd_plan(util::CliFlags& flags, int argc, const char* const* argv,
              std::ostream& out, std::ostream& err) {
   PlanArgs args{core::RoomModel{}, core::Scenario{}, 0.0};
-  const int rc = parse_plan_args(flags, argc, argv, "cooloptctl plan", out, err, args);
-  if (rc != 0) return rc == 1 ? 0 : rc;
+  if (const auto done = parse_plan_args(flags, argc, argv, "cooloptctl plan",
+                                        out, err, args)) {
+    return *done;
+  }
 
   const core::PlanEngine engine(std::move(args.model));
   const auto result = engine.solve(core::PlanRequest{args.scenario, args.load});
@@ -160,9 +176,10 @@ int cmd_plan(util::CliFlags& flags, int argc, const char* const* argv,
 int cmd_audit(util::CliFlags& flags, int argc, const char* const* argv,
               std::ostream& out, std::ostream& err) {
   PlanArgs args{core::RoomModel{}, core::Scenario{}, 0.0};
-  const int rc =
-      parse_plan_args(flags, argc, argv, "cooloptctl audit", out, err, args);
-  if (rc != 0) return rc == 1 ? 0 : rc;
+  if (const auto done = parse_plan_args(flags, argc, argv, "cooloptctl audit",
+                                        out, err, args)) {
+    return *done;
+  }
 
   const core::PlanEngine engine(std::move(args.model));
   const auto result = engine.solve(core::PlanRequest{args.scenario, args.load});
@@ -192,18 +209,11 @@ int cmd_audit(util::CliFlags& flags, int argc, const char* const* argv,
 
 int cmd_sweep(util::CliFlags& flags, int argc, const char* const* argv,
               std::ostream& out, std::ostream& err) {
-  flags.define("servers", "machines in the room", "20");
-  flags.define("racks", "racks in the room", "1");
-  flags.define("seed", "simulation seed", "42");
+  define_room_flags(flags);
   flags.define("scenarios", "comma-separated Fig. 4 numbers", "1,7,8");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage("cooloptctl sweep");
-    return 0;
+  if (const auto done =
+          parse_flags(flags, argc, argv, "cooloptctl sweep", out, err)) {
+    return *done;
   }
   std::vector<core::Scenario> scenarios;
   for (const std::string& tok :
@@ -257,14 +267,9 @@ int cmd_frontier(util::CliFlags& flags, int argc, const char* const* argv,
   flags.define("k", "comma-separated machine counts", "4,8,12,16,20");
   flags.define("budgets", "comma-separated power budgets, W",
                "400,700,1000,1400,1900,2500");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage("cooloptctl frontier");
-    return 0;
+  if (const auto done =
+          parse_flags(flags, argc, argv, "cooloptctl frontier", out, err)) {
+    return *done;
   }
   core::RoomModel model;
   try {
@@ -327,11 +332,41 @@ bool parse_index_list(const std::string& csv, const char* what,
   return true;
 }
 
+/// Connects to --host/--port; on failure prints the reason and returns
+/// false.
+bool connect_from_flags(const util::CliFlags& flags,
+                        service::ServiceClient& client, std::ostream& err) {
+  if (client.connect(flags.get_string("host", "127.0.0.1"),
+                     static_cast<uint16_t>(flags.get_int("port", 7077)))) {
+    return true;
+  }
+  err << client.last_error() << "\n";
+  return false;
+}
+
+/// Prints one response line and returns the exit status it implies: 1 when
+/// the exchange failed or the envelope says ok:false, else 0 — so scripts
+/// can branch on it.
+int report_response(const service::ServiceClient& client,
+                    const std::optional<std::string>& response,
+                    std::ostream& out, std::ostream& err) {
+  if (!response.has_value()) {
+    err << client.last_error() << "\n";
+    return 1;
+  }
+  out << *response << "\n";
+  service::JsonValue doc;
+  std::string parse_error;
+  if (service::parse_json(*response, doc, parse_error)) {
+    const service::JsonValue* ok = doc.find("ok");
+    if (ok != nullptr && ok->is_bool() && !ok->as_bool()) return 1;
+  }
+  return 0;
+}
+
 int cmd_inject(util::CliFlags& flags, int argc, const char* const* argv,
                std::ostream& out, std::ostream& err) {
-  flags.define("servers", "machines in the room", "20");
-  flags.define("racks", "racks in the room", "1");
-  flags.define("seed", "simulation seed", "42");
+  define_room_flags(flags);
   flags.define("scenario", "fault scenario name (see below)", "fan-failure");
   flags.define("defense", "none | watchdog | supervisor", "supervisor");
   flags.define("load-pct", "offered load, percent of fitted capacity", "60");
@@ -347,19 +382,16 @@ int cmd_inject(util::CliFlags& flags, int argc, const char* const* argv,
   flags.define("plan-scenario",
                "Fig. 4 scenario number for the degraded fleetplan", "8");
   flags.define("id", "request id (--down-shards mode)", "1");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage("cooloptctl inject");
-    out << "Scenarios:";
-    for (const std::string& name : sim::FaultScenario::names()) {
-      out << " " << name;
+  if (const auto done =
+          parse_flags(flags, argc, argv, "cooloptctl inject", out, err)) {
+    if (flags.help_requested()) {
+      out << "Scenarios:";
+      for (const std::string& name : sim::FaultScenario::names()) {
+        out << " " << name;
+      }
+      out << "\n";
     }
-    out << "\n";
-    return 0;
+    return *done;
   }
 
   // Shard-failure mode: exercise the fleet failure-domain path end to end
@@ -375,24 +407,8 @@ int cmd_inject(util::CliFlags& flags, int argc, const char* const* argv,
       return 2;
     }
     service::ServiceClient client;
-    if (!client.connect(flags.get_string("host", "127.0.0.1"),
-                        static_cast<uint16_t>(flags.get_int("port", 7077)))) {
-      err << client.last_error() << "\n";
-      return 1;
-    }
-    const std::optional<std::string> response = client.call_with_retry(request);
-    if (!response.has_value()) {
-      err << client.last_error() << "\n";
-      return 1;
-    }
-    out << *response << "\n";
-    service::JsonValue doc;
-    std::string parse_error;
-    if (service::parse_json(*response, doc, parse_error)) {
-      const service::JsonValue* ok = doc.find("ok");
-      if (ok != nullptr && ok->is_bool() && !ok->as_bool()) return 1;
-    }
-    return 0;
+    if (!connect_from_flags(flags, client, err)) return 1;
+    return report_response(client, client.call_with_retry(request), out, err);
   }
 
   control::FaultCampaignOptions options;
@@ -434,9 +450,9 @@ int cmd_client(util::CliFlags& flags, int argc, const char* const* argv,
                std::ostream& out, std::ostream& err) {
   flags.define("host", "cooloptd address", "127.0.0.1");
   flags.define("port", "cooloptd port", "7077");
-  flags.define("verb",
-               "ping | health | plan | fleetplan | measure | sweep | inject",
-               "ping");
+  const char* const default_verb =
+      service::verb_spec(service::Verb::kPing).name;
+  flags.define("verb", service::verb_names(" | "), default_verb);
   flags.define("priority", "admission priority: high | normal | low", "normal");
   flags.define("id", "request id echoed in the response", "1");
   flags.define("scenario", "Fig. 4 scenario number (plan/measure)", "8");
@@ -464,14 +480,9 @@ int cmd_client(util::CliFlags& flags, int argc, const char* const* argv,
   flags.define("fault", "fault scenario name (inject)", "fan-failure");
   flags.define("defense", "none | watchdog | supervisor (inject)", "supervisor");
   flags.define("line", "raw protocol line to send instead of building one", "");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage("cooloptctl client");
-    return 0;
+  if (const auto done =
+          parse_flags(flags, argc, argv, "cooloptctl client", out, err)) {
+    return *done;
   }
 
   const int timeout_ms = flags.get_int("timeout-ms", 0);
@@ -481,27 +492,19 @@ int cmd_client(util::CliFlags& flags, int argc, const char* const* argv,
     return 2;
   }
 
-  std::string line = flags.get_string("line", "");
+  const std::string line = flags.get_string("line", "");
   service::WireRequest request;
   if (line.empty()) {
     request.id = static_cast<uint64_t>(flags.get_int("id", 1));
-    const std::string verb = flags.get_string("verb", "ping");
-    if (verb == "ping") request.verb = service::Verb::kPing;
-    else if (verb == "health") request.verb = service::Verb::kHealth;
-    else if (verb == "plan") request.verb = service::Verb::kPlan;
-    else if (verb == "fleetplan") request.verb = service::Verb::kFleetplan;
-    else if (verb == "measure") request.verb = service::Verb::kMeasure;
-    else if (verb == "sweep") request.verb = service::Verb::kSweep;
-    else if (verb == "inject") request.verb = service::Verb::kInject;
-    else {
+    const std::string verb = flags.get_string("verb", default_verb);
+    const service::VerbSpec* spec = service::find_verb(verb);
+    if (spec == nullptr) {
       err << "unknown verb '" << verb << "'\n";
       return 2;
     }
+    request.verb = spec->verb;
     const std::string priority = flags.get_string("priority", "normal");
-    if (priority == "high") request.priority = service::Priority::kHigh;
-    else if (priority == "normal") request.priority = service::Priority::kNormal;
-    else if (priority == "low") request.priority = service::Priority::kLow;
-    else {
+    if (!service::parse_priority(priority, request.priority)) {
       err << "unknown priority '" << priority << "'\n";
       return 2;
     }
@@ -535,39 +538,19 @@ int cmd_client(util::CliFlags& flags, int argc, const char* const* argv,
       }
       request.trace_id = static_cast<uint64_t>(id);
     }
-    line = service::encode_request(request);
   }
 
   service::ServiceClient client;
   client.set_timeout_ms(static_cast<uint64_t>(timeout_ms));
-  if (!client.connect(flags.get_string("host", "127.0.0.1"),
-                      static_cast<uint16_t>(flags.get_int("port", 7077)))) {
-    err << client.last_error() << "\n";
-    return 1;
-  }
-  std::optional<std::string> response;
-  if (flags.get_string("line", "").empty()) {
-    // Structured path: retries apply only to idempotent verbs (the client
-    // enforces this), so --retries can never double-run an inject.
-    service::ServiceClient::RetryPolicy policy;
-    policy.attempts = retries;
-    response = client.call_with_retry(request, policy);
-  } else {
-    response = client.call(line);
-  }
-  if (!response.has_value()) {
-    err << client.last_error() << "\n";
-    return 1;
-  }
-  out << *response << "\n";
-  // Exit status mirrors the response envelope so scripts can branch on it.
-  service::JsonValue doc;
-  std::string parse_error;
-  if (service::parse_json(*response, doc, parse_error)) {
-    const service::JsonValue* ok = doc.find("ok");
-    if (ok != nullptr && ok->is_bool() && !ok->as_bool()) return 1;
-  }
-  return 0;
+  if (!connect_from_flags(flags, client, err)) return 1;
+  // Structured path: retries apply only to idempotent verbs (the client
+  // enforces this), so --retries can never double-run an inject.
+  service::ServiceClient::RetryPolicy policy;
+  policy.attempts = retries;
+  return report_response(client,
+                         line.empty() ? client.call_with_retry(request, policy)
+                                      : client.call(line),
+                         out, err);
 }
 
 /// Renders one parsed telemetry tick as indented `name = value` lines so a
@@ -629,14 +612,9 @@ int cmd_watch(util::CliFlags& flags, int argc, const char* const* argv,
                "1000");
   flags.define("ticks", "stop after N ticks (0 = stream until drain)", "0");
   flags.define("raw", "print raw NDJSON tick lines instead of rendering", "false");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    err << error << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    out << flags.usage("cooloptctl watch");
-    return 0;
+  if (const auto done =
+          parse_flags(flags, argc, argv, "cooloptctl watch", out, err)) {
+    return *done;
   }
 
   const int interval_ms = flags.get_int("interval-ms", 1000);
@@ -652,11 +630,7 @@ int cmd_watch(util::CliFlags& flags, int argc, const char* const* argv,
   request.ticks = static_cast<uint64_t>(ticks);
 
   service::ServiceClient client;
-  if (!client.connect(flags.get_string("host", "127.0.0.1"),
-                      static_cast<uint16_t>(flags.get_int("port", 7077)))) {
-    err << client.last_error() << "\n";
-    return 1;
-  }
+  if (!connect_from_flags(flags, client, err)) return 1;
   const std::optional<std::string> ack =
       client.call(service::encode_request(request));
   if (!ack.has_value()) {
