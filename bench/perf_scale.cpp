@@ -1,5 +1,5 @@
 // Datacenter-scale planning performance: what the sharded FleetEngine and
-// the incremental Algorithm 1 table buy as the fleet grows to 10k+
+// the masked Algorithm 1 table buy as the fleet grows to 10k+
 // machines, on SKU-structured rooms (a handful of machine classes
 // replicated across slots — the regime real fleets live in, and the one
 // where the event table stays compact at any n).
@@ -12,16 +12,17 @@
 //                per-shard preprocess behind the frontier sampling, the
 //                water-filling split, parallel shard solves and the merge.
 //
-// Plus the incremental-vs-rebuild comparison: with a warm table, quarantine
-// ONE machine and replan (set_active + query_best) against a from-scratch
-// cold build answering the same query at the same active set.
+// Plus the incremental replan vs a cold rebuild: with a warm full-fleet
+// table, quarantine ONE machine and replan (a masked query_best_into)
+// against a cold EventConsolidator built over the survivors answering the
+// same query.
 //
 // Targets (exit nonzero when missed):
 //   * fleet cold solve at n = 10000 beats the monolithic cold solve;
 //   * incremental replan >= 10x the cold rebuild at every n >= 2000;
 //   * every fleet shard entry is bit-for-bit the shard engine's own
-//     answer, and the incremental table/ranking is bit-for-bit the cold
-//     rebuild's, at every n.
+//     answer, and the masked answer is bit-for-bit the survivor table's
+//     (ids mapped back), at every n.
 //
 // Emits BENCH_scale.json (override with --json-out); tools/check_bench.sh
 // validates the shape of every BENCH_*.json in CI.
@@ -33,7 +34,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/incremental.h"
+#include "core/consolidation.h"
 #include "core/synthetic.h"
 #include "fleet/fleet_engine.h"
 #include "obs/json_writer.h"
@@ -74,35 +75,6 @@ core::RoomModel sku_model(size_t machines, size_t skus, uint64_t seed) {
   }
   for (core::MachineModel& m : model.machines) m.capacity *= 3.0;
   return model;
-}
-
-bool tables_identical(const core::detail::ConsolidationTable& a,
-                      const core::detail::ConsolidationTable& b) {
-  if (a.events != b.events || a.segments.size() != b.segments.size()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.segments.size(); ++s) {
-    if (a.segments[s].start != b.segments[s].start ||
-        a.segments[s].order != b.segments[s].order ||
-        a.segments[s].prefix_a != b.segments[s].prefix_a ||
-        a.segments[s].prefix_b != b.segments[s].prefix_b) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool choices_identical(const std::vector<core::ConsolidationChoice>& a,
-                       const std::vector<core::ConsolidationChoice>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].k != b[i].k || a[i].on_set != b[i].on_set ||
-        a[i].t_ac != b[i].t_ac ||
-        a[i].predicted_total_power_w != b[i].predicted_total_power_w) {
-      return false;
-    }
-  }
-  return true;
 }
 
 struct MonoBaseline {
@@ -149,36 +121,47 @@ MonoBaseline run_monolithic(const core::RoomModel& room, double load) {
   return mono;
 }
 
-/// Warm table + one-machine quarantine replan (delta patch + query_best)
-/// vs a from-scratch build answering the same query.
+/// Warm full-fleet table + one-machine quarantine replan (a masked
+/// query_best_into) vs a cold table over the survivors answering the same
+/// query.
 IncrementalResult run_incremental(const core::SharedRoomModel& model,
                                   double load) {
   IncrementalResult r;
-  core::IncrementalConsolidator inc(model, core::kPreValidated);
-  std::vector<char> mask(model->size(), 1);
-  inc.set_active(mask);  // warm (cold build, untimed)
+  const core::EventConsolidator full(model, core::kPreValidated);  // untimed
+  const size_t quarantined = model->size() / 2;
+  std::vector<char> keep(model->size(), 1);
+  keep[quarantined] = 0;
 
-  mask[model->size() / 2] = 0;  // one machine quarantined
   auto t0 = std::chrono::steady_clock::now();
-  inc.set_active(mask);
-  const std::optional<core::ConsolidationChoice> best = inc.query_best(load);
+  core::detail::TableMask mask;
+  mask.reset(full.table(), full.particles(), keep);
+  core::ConsolidationChoice best;
+  const bool got = full.table().query_best_into(full.particles(), *model,
+                                                load, best, &mask);
   r.replan_ms = ms_since(t0);
 
   t0 = std::chrono::steady_clock::now();
-  core::IncrementalConsolidator rebuilt(model, core::kPreValidated);
-  rebuilt.set_active(mask);
-  const std::optional<core::ConsolidationChoice> best_cold =
-      rebuilt.query_best(load);
+  core::RoomModel survivors = *model;
+  survivors.machines.erase(survivors.machines.begin() +
+                           static_cast<long>(quarantined));
+  const core::EventConsolidator cold(core::share_model(std::move(survivors)),
+                                     core::kPreValidated);
+  core::ConsolidationChoice best_cold;
+  const bool got_cold = cold.table().query_best_into(
+      cold.particles(), cold.model(), load, best_cold);
   r.rebuild_ms = ms_since(t0);
 
-  // Bit-for-bit: the patched table equals the rebuilt one, both queries
-  // agree, and query_best is exactly the head of the full ranking.
-  const std::vector<core::ConsolidationChoice> ranked = inc.rank_all_k(load);
-  r.identical = tables_identical(inc.table(), rebuilt.table()) &&
-                best.has_value() && best_cold.has_value() &&
-                !ranked.empty() &&
-                choices_identical({*best}, {*best_cold}) &&
-                choices_identical({*best}, {ranked.front()});
+  // Bit-for-bit, with the survivor table's ids mapped back to the fleet's
+  // (the segment index is the only field allowed to differ).
+  for (size_t& id : best_cold.on_set) {
+    if (id >= quarantined) ++id;
+  }
+  r.identical = got && got_cold && best.k == best_cold.k &&
+                best.on_set == best_cold.on_set &&
+                best.t_param == best_cold.t_param &&
+                best.t_ac == best_cold.t_ac &&
+                best.predicted_total_power_w ==
+                    best_cold.predicted_total_power_w;
   return r;
 }
 
@@ -239,7 +222,7 @@ int main(int argc, char** argv) {
   const size_t max_n =
       static_cast<size_t>(flags.get_int("max-n", 10000));
 
-  std::printf("Datacenter-scale planning: fleet + incremental Algorithm 1\n\n");
+  std::printf("Datacenter-scale planning: fleet + masked Algorithm 1\n\n");
 
   // n-sweep (ascending, as check_bench asserts) at 8 shards, then the
   // shard-count sweep at the largest n.

@@ -187,15 +187,27 @@ void EventConsolidator::preprocess() {
   std::vector<uint32_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0u);
   table_.build(particles_, ids,
-               detail::ConsolidationTable::collapse_events(times),
-               /*with_statuses=*/true);
+               detail::ConsolidationTable::collapse_events(times));
 
   obs::count("consolidation.preprocesses");
   obs::gauge_set("consolidation.events", static_cast<double>(table_.events.size()));
   obs::gauge_set("consolidation.segments",
                  static_cast<double>(table_.segments.size()));
-  obs::gauge_set("consolidation.statuses",
-                 static_cast<double>(table_.statuses.size()));
+}
+
+const detail::ConsolidationTable& EventConsolidator::paper_table() const {
+  // allStatus holds segments x n entries and only Algorithm 2 reads it, so
+  // it is sorted on the first such query instead of in preprocess().
+  std::call_once(statuses_once_, [&] {
+    table_.build_statuses();
+    obs::gauge_set("consolidation.statuses",
+                   static_cast<double>(table_.statuses.size()));
+  });
+  return table_;
+}
+
+size_t EventConsolidator::status_count() const {
+  return paper_table().statuses.size();
 }
 
 std::optional<ConsolidationChoice> EventConsolidator::query(double load,
@@ -228,7 +240,7 @@ std::optional<ConsolidationChoice> EventConsolidator::query(double load,
     return report(best);
   }
 
-  return report(table_.query_paper(particles_, *model_, load));
+  return report(paper_table().query_paper(particles_, *model_, load));
 }
 
 std::vector<ConsolidationChoice> EventConsolidator::rank_all_k(double load) const {
@@ -237,13 +249,15 @@ std::vector<ConsolidationChoice> EventConsolidator::rank_all_k(double load) cons
   return out;
 }
 
-size_t EventConsolidator::rank_all_k_into(
-    double load, std::vector<ConsolidationChoice>& out) const {
+size_t EventConsolidator::rank_all_k_into(double load,
+                                          std::vector<ConsolidationChoice>& out,
+                                          detail::TableMask* mask) const {
   // Instrumented as a query: this is the Algorithm 2 machinery run once per
   // k, and it is the entry point the scenario planner actually exercises.
   obs::ScopedTimer timer(obs::maybe_histogram("consolidation.query_us"));
   obs::count("consolidation.queries");
-  const size_t count = table_.rank_all_k_into(particles_, *model_, load, out);
+  const size_t count =
+      table_.rank_all_k_into(particles_, *model_, load, out, mask);
   if (count == 0) obs::count("consolidation.infeasible_queries");
   if (obs::RunTrace* tr = obs::trace()) {
     tr->record_solve(obs::SolveSample{

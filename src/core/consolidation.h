@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -98,8 +99,10 @@ class EventConsolidator {
   /// rank_all_k into a grow-only buffer (see ConsolidationTable::
   /// rank_all_k_into): entries [0, returned count) are the ranking, spare
   /// slots keep their heap blocks for reuse. Same instrumentation, same
-  /// bit-for-bit sequence as rank_all_k.
-  size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out) const;
+  /// bit-for-bit sequence as rank_all_k. A `mask` (reset against table()
+  /// and particles()) ranks only the machines it keeps.
+  size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out,
+                         detail::TableMask* mask = nullptr) const;
 
   /// The paper's maxL(A, P_b, k): largest load exactly-k machines can
   /// serve with predicted total power <= power_budget_w. 0 if even L=0 is
@@ -109,7 +112,8 @@ class EventConsolidator {
   // --- introspection for tests/benches ---
   size_t event_count() const { return table_.events.size(); }
   size_t segment_count() const { return table_.segments.size(); }
-  size_t status_count() const { return table_.statuses.size(); }
+  /// allStatus entries; the first call (or Algorithm 2 query) builds them.
+  size_t status_count() const;
   const ParticleSystem& particles() const { return particles_; }
   const detail::ConsolidationTable& table() const { return table_; }
 
@@ -117,10 +121,15 @@ class EventConsolidator {
 
  private:
   void preprocess();
+  /// table_ with its statuses built (once, thread-safe).
+  const detail::ConsolidationTable& paper_table() const;
 
   SharedRoomModel model_;
   ParticleSystem particles_;
-  detail::ConsolidationTable table_;  // the shared Algorithm 1 structure
+  /// The Algorithm 1 structure; mutable only for the statuses, which
+  /// paper_table() fills on first use.
+  mutable detail::ConsolidationTable table_;
+  mutable std::once_flag statuses_once_;
 };
 
 }  // namespace coolopt::core

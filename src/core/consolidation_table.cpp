@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/strings.h"
+
 namespace coolopt::core::detail {
 
 std::vector<double> ConsolidationTable::collapse_events(
@@ -19,8 +21,7 @@ std::vector<double> ConsolidationTable::collapse_events(
 
 void ConsolidationTable::build(const ParticleSystem& ps,
                                const std::vector<uint32_t>& ids,
-                               std::vector<double> collapsed_events,
-                               bool with_statuses) {
+                               std::vector<double> collapsed_events) {
   events = std::move(collapsed_events);
   segments.clear();
   statuses.clear();
@@ -58,11 +59,13 @@ void ConsolidationTable::build(const ParticleSystem& ps,
     }
     segments.push_back(std::move(seg));
   }
+}
 
-  if (!with_statuses) return;
-
+void ConsolidationTable::build_statuses() {
   // The paper's allStatus: one (event time, k) entry per segment and k,
   // sorted by Lmax for the Algorithm 2 binary search.
+  const size_t n = width();
+  statuses.clear();
   statuses.reserve(segments.size() * n);
   for (uint32_t s = 0; s < segments.size(); ++s) {
     const Segment& seg = segments[s];
@@ -79,48 +82,65 @@ void ConsolidationTable::build(const ParticleSystem& ps,
             [](const Status& x, const Status& y) { return x.l_max < y.l_max; });
 }
 
-void ConsolidationTable::apply_membership_delta(
-    const ParticleSystem& ps, const std::vector<uint32_t>& removed,
-    const std::vector<uint32_t>& added) {
-  if (!statuses.empty()) {
-    throw std::logic_error(
-        "ConsolidationTable: membership delta on a table with statuses");
+void TableMask::reset(const ConsolidationTable& table, const ParticleSystem& ps,
+                      const std::vector<char>& keep) {
+  if (keep.size() != ps.size() || table.width() != ps.size()) {
+    throw std::invalid_argument(util::strf(
+        "TableMask: mask has %zu entries but the table has %zu particles",
+        keep.size(), table.width()));
   }
-  std::vector<char> gone(ps.size(), 0);
-  for (const uint32_t id : removed) gone[id] = 1;
-
-  for (Segment& seg : segments) {
-    if (!removed.empty()) {
-      seg.order.erase(std::remove_if(seg.order.begin(), seg.order.end(),
-                                     [&](uint32_t id) { return gone[id] != 0; }),
-                      seg.order.end());
-    }
-    for (const uint32_t id : added) {
-      // The order is the unique sequence sorted by (coordinate descending,
-      // id ascending); inserting at the lower bound reproduces the full
-      // re-sort exactly.
-      const double c = ps.coordinate(id, seg.order_time);
-      const auto pos = std::lower_bound(
-          seg.order.begin(), seg.order.end(), id, [&](uint32_t x, uint32_t y) {
-            const double cx = (x == id) ? c : ps.coordinate(x, seg.order_time);
-            const double cy = (y == id) ? c : ps.coordinate(y, seg.order_time);
-            if (cx != cy) return cx > cy;
-            return x < y;
-          });
-      seg.order.insert(pos, id);
-    }
-    const size_t n = seg.order.size();
-    seg.prefix_a.assign(n + 1, 0.0);
-    seg.prefix_b.assign(n + 1, 0.0);
-    for (size_t k = 0; k < n; ++k) {
-      seg.prefix_a[k + 1] = seg.prefix_a[k] + ps.a[seg.order[k]];
-      seg.prefix_b[k + 1] = seg.prefix_b[k] + ps.b[seg.order[k]];
-    }
-  }
+  ps_ = &ps;
+  keep_.assign(keep.begin(), keep.end());
+  width_ = static_cast<size_t>(
+      std::count_if(keep.begin(), keep.end(), [](char k) { return k != 0; }));
+  slot_.assign(table.segments.size(), 0);
+  views_ = 0;
 }
 
-double ConsolidationTable::g(size_t k, double t) const {
-  const Segment& seg = segments[segment_at(t)];
+size_t TableMask::bytes() const {
+  return keep_.capacity() +
+         (slot_.capacity() + order_.capacity()) * sizeof(uint32_t) +
+         (prefix_a_.capacity() + prefix_b_.capacity()) * sizeof(double);
+}
+
+SegmentView ConsolidationTable::view(size_t s, TableMask* mask) const {
+  const Segment& seg = segments[s];
+  if (mask == nullptr) {
+    return {seg.order.data(), seg.prefix_a.data(), seg.prefix_b.data()};
+  }
+  TableMask& m = *mask;
+  const size_t stride = m.width_ + 1;
+  if (m.slot_[s] == 0) {
+    // First touch: filter the order and left-fold the prefix sums exactly
+    // as build() folds them over an order of the kept particles alone.
+    const size_t v = m.views_++;
+    m.slot_[s] = static_cast<uint32_t>(v + 1);
+    if (m.prefix_a_.size() < (v + 1) * stride) {
+      m.order_.resize((v + 1) * stride);
+      m.prefix_a_.resize((v + 1) * stride);
+      m.prefix_b_.resize((v + 1) * stride);
+    }
+    uint32_t* order = m.order_.data() + v * stride;
+    double* pa = m.prefix_a_.data() + v * stride;
+    double* pb = m.prefix_b_.data() + v * stride;
+    pa[0] = 0.0;
+    pb[0] = 0.0;
+    size_t k = 0;
+    for (const uint32_t id : seg.order) {
+      if (m.keep_[id] == 0) continue;
+      order[k] = id;
+      pa[k + 1] = pa[k] + m.ps_->a[id];
+      pb[k + 1] = pb[k] + m.ps_->b[id];
+      ++k;
+    }
+  }
+  const size_t offset = (m.slot_[s] - 1) * stride;
+  return {m.order_.data() + offset, m.prefix_a_.data() + offset,
+          m.prefix_b_.data() + offset};
+}
+
+double ConsolidationTable::g(size_t k, double t, TableMask* mask) const {
+  const SegmentView seg = view(segment_at(t), mask);
   return seg.prefix_a[k] - t * seg.prefix_b[k];
 }
 
@@ -151,11 +171,12 @@ ConsolidationChoice ConsolidationTable::make_choice(const ParticleSystem& ps,
 void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
                                           const RoomModel& model,
                                           size_t segment, size_t k, double load,
-                                          ConsolidationChoice& out) const {
-  const Segment& seg = segments[segment];
+                                          ConsolidationChoice& out,
+                                          TableMask* mask) const {
+  const SegmentView seg = view(segment, mask);
   out.k = k;
   out.segment = segment;
-  out.on_set.assign(seg.order.begin(), seg.order.begin() + static_cast<long>(k));
+  out.on_set.assign(seg.order, seg.order + k);
   const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
   out.t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
   out.t_ac = ps.w1 * out.t_param;
@@ -188,7 +209,8 @@ bool ConsolidationTable::peek_k(const ParticleSystem& ps,
 }
 
 size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
-                                             double load, size_t k) const {
+                                             double load, size_t k,
+                                             TableMask* mask) const {
   // Find where g_k crosses the load. g_k is continuous, piecewise linear
   // and strictly decreasing, and within each segment equals
   // prefix_a[k] - t * prefix_b[k] of that segment's order.
@@ -196,7 +218,8 @@ size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
   size_t lo = 0;
   size_t hi = segments.size();
   const auto g_at_start = [&](size_t s) {
-    return segments[s].prefix_a[k] - segments[s].start * segments[s].prefix_b[k];
+    const SegmentView seg = view(s, mask);
+    return seg.prefix_a[k] - segments[s].start * seg.prefix_b[k];
   };
   while (lo + 1 < hi) {
     const size_t mid = (lo + hi) / 2;
@@ -206,9 +229,9 @@ size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
       hi = mid;
     }
   }
-  const Segment& seg = segments[lo];
+  const SegmentView seg = view(lo, mask);
   double t_star = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-  t_star = std::max(t_star, seg.start);  // numeric safety at boundaries
+  t_star = std::max(t_star, segments[lo].start);  // numeric safety at boundaries
 
   const double t_used = std::clamp(t_star, ps.t_lo, ps.t_hi);
   // Operate in the segment containing the (possibly clamped) time: when the
@@ -232,16 +255,18 @@ std::optional<ConsolidationChoice> ConsolidationTable::solve_for_k(
   return make_choice(ps, model, operating_segment(ps, load, k), k, load);
 }
 
-std::optional<ConsolidationChoice> ConsolidationTable::query_best(
-    const ParticleSystem& ps, const RoomModel& model, double load) const {
+bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
+                                         const RoomModel& model, double load,
+                                         ConsolidationChoice& out,
+                                         TableMask* mask) const {
   size_t best_k = 0;
   size_t best_segment = 0;
   double best_power = 0.0;
-  for (size_t k = 1; k <= width(); ++k) {
-    if (g(k, ps.t_lo) < load - kFeasEps) continue;
-    if (g(k, 0.0) < load - kFeasEps) continue;
-    const size_t s = operating_segment(ps, load, k);
-    const Segment& seg = segments[s];
+  for (size_t k = 1; k <= width(mask); ++k) {
+    if (g(k, ps.t_lo, mask) < load - kFeasEps) continue;
+    if (g(k, 0.0, mask) < load - kFeasEps) continue;
+    const size_t s = operating_segment(ps, load, k, mask);
+    const SegmentView seg = view(s, mask);
     const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
     const double t_ac = ps.w1 * std::clamp(t_subset, ps.t_lo, ps.t_hi);
     // w2 is validated uniform, so the subset's idle draw is k * w2 without
@@ -256,34 +281,8 @@ std::optional<ConsolidationChoice> ConsolidationTable::query_best(
       best_power = power;
     }
   }
-  if (best_k == 0) return std::nullopt;
-  return make_choice(ps, model, best_segment, best_k, load);
-}
-
-bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
-                                         const RoomModel& model, double load,
-                                         ConsolidationChoice& out) const {
-  size_t best_k = 0;
-  size_t best_segment = 0;
-  double best_power = 0.0;
-  for (size_t k = 1; k <= width(); ++k) {
-    if (g(k, ps.t_lo) < load - kFeasEps) continue;
-    if (g(k, 0.0) < load - kFeasEps) continue;
-    const size_t s = operating_segment(ps, load, k);
-    const Segment& seg = segments[s];
-    const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-    const double t_ac = ps.w1 * std::clamp(t_subset, ps.t_lo, ps.t_hi);
-    // Same k * w2 approximation as query_best (see the comment there).
-    const double it_w = static_cast<double>(k) * ps.w2 + ps.w1 * load;
-    const double power = it_w + model.cooler.predict(t_ac, it_w);
-    if (best_k == 0 || power < best_power) {
-      best_k = k;
-      best_segment = s;
-      best_power = power;
-    }
-  }
   if (best_k == 0) return false;
-  make_choice_into(ps, model, best_segment, best_k, load, out);
+  make_choice_into(ps, model, best_segment, best_k, load, out, mask);
   return true;
 }
 
@@ -297,15 +296,23 @@ std::vector<ConsolidationChoice> ConsolidationTable::rank_all_k(
 
 size_t ConsolidationTable::rank_all_k_into(
     const ParticleSystem& ps, const RoomModel& model, double load,
-    std::vector<ConsolidationChoice>& out) const {
+    std::vector<ConsolidationChoice>& out, TableMask* mask) const {
+  // The slots keep their on_set buffers, and the ranking sort below moves
+  // them between slots. Filling the largest k into the largest buffer
+  // means any ranking shape seen before grows no buffer, so a warm caller
+  // cycling through requests allocates nothing.
+  std::sort(out.begin(), out.end(),
+            [](const ConsolidationChoice& x, const ConsolidationChoice& y) {
+              return x.on_set.capacity() > y.on_set.capacity();
+            });
   size_t count = 0;
-  for (size_t k = 1; k <= width(); ++k) {
+  for (size_t k = width(mask); k >= 1; --k) {
     // solve_for_k's feasibility gates, inlined to skip the optional.
-    if (g(k, ps.t_lo) < load - kFeasEps) continue;
-    if (g(k, 0.0) < load - kFeasEps) continue;
+    if (g(k, ps.t_lo, mask) < load - kFeasEps) continue;
+    if (g(k, 0.0, mask) < load - kFeasEps) continue;
     if (count == out.size()) out.emplace_back();
-    make_choice_into(ps, model, operating_segment(ps, load, k), k, load,
-                     out[count]);
+    make_choice_into(ps, model, operating_segment(ps, load, k, mask), k, load,
+                     out[count], mask);
     ++count;
   }
   std::sort(out.begin(), out.begin() + static_cast<long>(count),

@@ -1,23 +1,18 @@
 // The Algorithm 1 data structure itself — events, per-segment coordinate
-// orders with prefix sums, and the allStatus list — factored out of
-// EventConsolidator so that two owners can share one implementation:
-//
-//   * EventConsolidator (consolidation.h): full O(n^3 lg n) rebuild over a
-//     whole room, the paper's preprocessing verbatim.
-//   * IncrementalConsolidator (incremental.h): maintains the same table
-//     under single-machine join/leave/quarantine deltas.
-//
-// Sharing the build and query code is what makes the incremental path's
-// "bit-for-bit identical to a rebuilt table" guarantee hold by
-// construction rather than by accident: both owners funnel through
-// ConsolidationTable::build / the unique sorted segment order.
+// orders with prefix sums, and the paper's allStatus list — factored out of
+// EventConsolidator (consolidation.h), its one owner.
 //
 // A note on determinism: within a segment no two entries of `order`
 // compare equivalent (coordinates tie-break by particle id), so the sorted
-// order is the UNIQUE sequence satisfying the comparator. Any procedure
-// that produces a sequence sorted under that comparator — a full
-// std::sort, or an erase/insert against an already-sorted order — yields
-// the identical permutation. apply_membership_delta relies on this.
+// order is the UNIQUE sequence satisfying the comparator.
+//
+// Quarantines are a query-time mask over the same table (TableMask). A
+// quarantine only removes particles, and each pairwise crossing time
+// depends only on its pair, so the survivors' events are a subset of the
+// full events and, between two full-table events, the survivors' order is
+// the full order with the quarantined ids skipped. Filtering a segment's
+// order and left-folding its prefix sums therefore reproduces the doubles a
+// table built over the survivors alone would hold.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +63,53 @@ constexpr double kFeasEps = 1e-7;
 /// floating-point analogue of the paper's "distinct crossing times").
 constexpr double kEventMergeEps = 1e-12;
 
+struct ConsolidationTable;
+
+/// A segment's coordinate order and prefix sums, as one query reads them:
+/// the table's own arrays, or a mask's filtered copies. Valid until the
+/// next ConsolidationTable::view call with the same mask.
+struct SegmentView {
+  const uint32_t* order = nullptr;
+  const double* prefix_a = nullptr;
+  const double* prefix_b = nullptr;
+};
+
+/// Query-time restriction of a ConsolidationTable to a subset of its
+/// particles (a quarantine). Each segment's filtered order and prefix sums
+/// are written on the segment's first touch into grow-only buffers, so a
+/// warm mask allocates nothing. Not thread-safe: one per thread
+/// (SolveScratch holds one).
+class TableMask {
+ public:
+  /// Keeps the particles of `ps` whose flag is non-zero and forgets the
+  /// segments materialized for the previous mask. `table` must be built
+  /// over all of `ps`, and `ps` must outlive the queries. Throws
+  /// std::invalid_argument when `keep` does not hold one flag per particle.
+  void reset(const ConsolidationTable& table, const ParticleSystem& ps,
+             const std::vector<char>& keep);
+  /// Number of kept particles (k ranges over 1..width()).
+  size_t width() const { return width_; }
+  /// Heap footprint of the buffers (capacities).
+  size_t bytes() const;
+
+ private:
+  friend struct ConsolidationTable;
+  const ParticleSystem* ps_ = nullptr;
+  std::vector<char> keep_;
+  size_t width_ = 0;
+  std::vector<uint32_t> slot_;     // per segment: 1 + view index, 0 = untouched
+  // View v of each buffer is [v * (width_ + 1), (v + 1) * (width_ + 1));
+  // order_ uses the prefix arrays' stride so one size check covers all three.
+  std::vector<uint32_t> order_;
+  std::vector<double> prefix_a_;
+  std::vector<double> prefix_b_;
+  size_t views_ = 0;
+};
+
+/// The query functions below take an optional `mask` (nullptr = the whole
+/// table) and read every segment through view(), so one implementation
+/// serves full-fleet and quarantined queries alike. Masked choices carry
+/// full-table segment indices.
 struct ConsolidationTable {
   struct Segment {
     double start = 0.0;       // particle time at segment start
@@ -85,7 +127,7 @@ struct ConsolidationTable {
 
   std::vector<double> events;      // sorted collapsed crossing times > 0
   std::vector<Segment> segments;   // segments[0].start == 0
-  std::vector<Status> statuses;    // sorted by l_max ascending (optional)
+  std::vector<Status> statuses;    // sorted by l_max; see build_statuses
 
   /// Tolerance-collapse of an ascending-sorted crossing-time list
   /// (duplicates allowed): keeps a time iff it is >= kEventMergeEps past
@@ -94,56 +136,52 @@ struct ConsolidationTable {
   /// distinct.
   static std::vector<double> collapse_events(const std::vector<double>& sorted_times);
 
-  /// Builds segments (and optionally statuses) over the particles named in
-  /// `ids` (ascending original ids) from an already-collapsed event list.
+  /// Builds the segments over the particles named in `ids` (ascending
+  /// original ids) from an already-collapsed event list.
   void build(const ParticleSystem& ps, const std::vector<uint32_t>& ids,
-             std::vector<double> collapsed_events, bool with_statuses);
+             std::vector<double> collapsed_events);
+  /// Builds the paper's allStatus (segments x n entries) that only the
+  /// Algorithm 2 query reads.
+  void build_statuses();
 
-  /// Membership-only delta: `removed`/`added` particles leave/join every
-  /// segment order while the event list is UNCHANGED (caller checked).
-  /// Erase/insert against the unique sorted order reproduces exactly what
-  /// a full rebuild would sort. Only valid for tables built without
-  /// statuses.
-  void apply_membership_delta(const ParticleSystem& ps,
-                              const std::vector<uint32_t>& removed,
-                              const std::vector<uint32_t>& added);
-
-  /// Number of particles each segment covers (k ranges over 1..width()).
-  size_t width() const { return segments.empty() ? 0 : segments.front().order.size(); }
+  /// Number of particles a query covers (k ranges over 1..width(mask)).
+  size_t width(const TableMask* mask = nullptr) const {
+    if (mask != nullptr) return mask->width();
+    return segments.empty() ? 0 : segments.front().order.size();
+  }
+  /// Segment s's order and prefix sums, filtered through `mask` if given.
+  SegmentView view(size_t s, TableMask* mask = nullptr) const;
 
   /// Max of sum of k largest coordinates at time t.
-  double g(size_t k, double t) const;
+  double g(size_t k, double t, TableMask* mask = nullptr) const;
   /// Segment containing particle time t (last segment whose start <= t).
   size_t segment_at(double t) const;
   /// Segment the k-subset operates in for this load: last segment whose
   /// start-value of g_k still covers the load, then the (clamped) subset
   /// time mapped back through segment_at. Shared by solve_for_k and
-  /// query_best so both see the identical operating segment.
-  size_t operating_segment(const ParticleSystem& ps, double load,
-                           size_t k) const;
+  /// query_best_into so both see the identical operating segment.
+  size_t operating_segment(const ParticleSystem& ps, double load, size_t k,
+                           TableMask* mask = nullptr) const;
   /// Exact per-k solve; nullopt if k machines cannot serve the load.
   std::optional<ConsolidationChoice> solve_for_k(const ParticleSystem& ps,
                                                  const RoomModel& model,
                                                  double load, size_t k) const;
-  /// The single best choice — rank_all_k(...).front() — without
+  /// The single best choice — the head of rank_all_k_into — without
   /// materializing an on_set per k: the per-k predicted power is O(1) from
   /// the prefix sums (w2 is validated uniform), so the scan is
   /// O(n lg #segments) + O(k) for the winner, versus the O(n^2) on_set
-  /// copies of the full ranking. This is what makes a one-delta replan
-  /// cheap end to end: table patch + query_best, no quadratic step.
-  std::optional<ConsolidationChoice> query_best(const ParticleSystem& ps,
-                                                const RoomModel& model,
-                                                double load) const;
-  /// query_best writing into a caller-owned choice (on_set buffer reused).
-  /// Returns false when no k is feasible. Bit-for-bit the query_best result.
+  /// copies of the full ranking. Writes into a caller-owned choice (on_set
+  /// buffer reused); returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
-                       double load, ConsolidationChoice& out) const;
+                       double load, ConsolidationChoice& out,
+                       TableMask* mask = nullptr) const;
   ConsolidationChoice make_choice(const ParticleSystem& ps, const RoomModel& model,
                                   size_t segment, size_t k, double load) const;
   /// make_choice writing into a caller-owned choice (on_set buffer reused).
   void make_choice_into(const ParticleSystem& ps, const RoomModel& model,
                         size_t segment, size_t k, double load,
-                        ConsolidationChoice& out) const;
+                        ConsolidationChoice& out,
+                        TableMask* mask = nullptr) const;
   /// Feasibility + operating segment + predicted power for one k, without
   /// materializing the on_set. `sum_w2_k` must be the iterated sum of the
   /// subset's w2 draws; when w2 is bitwise-uniform across machines (the
@@ -162,10 +200,10 @@ struct ConsolidationTable {
   /// capacity (their on_set heap blocks get reused next call). Bit-for-bit
   /// the rank_all_k sequence.
   size_t rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
-                         double load,
-                         std::vector<ConsolidationChoice>& out) const;
-  /// The paper's Algorithm 2: binary search over statuses (requires a
-  /// table built with statuses).
+                         double load, std::vector<ConsolidationChoice>& out,
+                         TableMask* mask = nullptr) const;
+  /// The paper's Algorithm 2: binary search over statuses (requires
+  /// build_statuses()).
   std::optional<ConsolidationChoice> query_paper(const ParticleSystem& ps,
                                                  const RoomModel& model,
                                                  double load) const;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/baselines.h"
-#include "core/incremental.h"
 #include "core/scratch.h"
 #include "obs/obs.h"
 #include "obs/span.h"
@@ -161,44 +160,6 @@ const ParticleSystem* PlanEngine::particles() const {
 
 bool PlanEngine::exact_paths() const { return aggregates().uniform_w1; }
 
-bool PlanEngine::incremental_rank_into(const std::vector<char>& active_mask,
-                                       double load,
-                                       std::vector<ConsolidationChoice>& out,
-                                       size_t& count) const {
-  const ModelAggregates& agg = aggregates();
-  if (!agg.uniform_w1 || !agg.uniform_w2) return false;
-
-  std::scoped_lock lock(incremental_mu_);
-  const double t0 = now_us();
-  if (!incremental_) {
-    incremental_ =
-        std::make_unique<IncrementalConsolidator>(margin_model_, kPreValidated);
-    counters_.incremental_cold_builds.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.incremental.cold_builds");
-  }
-  const IncrementalApplyStats stats = incremental_->set_active(active_mask);
-  counters_.incremental_replans.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.incremental.replans");
-  if (stats.cold_rebuild) {
-    counters_.incremental_cold_builds.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.incremental.cold_builds");
-  }
-  if (stats.events_changed) {
-    counters_.incremental_event_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.incremental.event_rebuilds");
-  }
-  if (stats.removed > 0) {
-    obs::count("engine.incremental.removed", static_cast<uint64_t>(stats.removed));
-  }
-  if (stats.restored > 0) {
-    obs::count("engine.incremental.restored",
-               static_cast<uint64_t>(stats.restored));
-  }
-  count = incremental_->rank_all_k_into(load, out);
-  obs::observe("engine.incremental.apply_us", now_us() - t0);
-  return true;
-}
-
 bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
                                    double load, SolveScratch& scr,
                                    Allocation& out,
@@ -346,15 +307,14 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
       const std::vector<size_t>& capacity_order =
           restricted ? scr.capacity_order : agg.capacity_desc;
 
-      // Unrestricted solves use the cached full-fleet Algorithm 1 table;
-      // restricted (quarantine) solves use the delta-maintained incremental
-      // table over the surviving machines. Both yield a ranking walked with
-      // the same branch and bound. The memo fast path sits in front of the
-      // unrestricted walk only (its keys index the immutable full-fleet
-      // table, so quarantine churn can never stale them).
-      const EventConsolidator* cons = restricted ? nullptr : consolidator();
-      const bool memo_eligible =
-          options_.enable_memo && cons != nullptr && agg.w2_exact_uniform;
+      // Every solve ranks through the one cached Algorithm 1 table;
+      // restricted (quarantine) solves read it through a query-time mask of
+      // the surviving machines. Both rankings are walked with the same
+      // branch and bound. The memo fast path sits in front of the
+      // unrestricted walk only (its keys are full-fleet (k, segment) pairs).
+      const EventConsolidator* cons = consolidator();
+      const bool memo_eligible = options_.enable_memo && !restricted &&
+                                 cons != nullptr && agg.w2_exact_uniform;
       if (memo_eligible && try_memo_plan(load, scr, scr.best_alloc)) {
         have_best = true;
         best_pure = true;
@@ -389,16 +349,19 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
           return false;
         };
 
-        bool ranked_available = false;
-        size_t ranked_count = 0;
         if (cons != nullptr) {
-          ranked_count = cons->rank_all_k_into(load, scr.ranked);
-          ranked_available = true;
-        } else if (restricted) {
-          ranked_available =
-              incremental_rank_into(scr.mask, load, scr.ranked, ranked_count);
-        }
-        if (ranked_available) {
+          const double t0 = now_us();
+          if (restricted) {
+            scr.table_mask.reset(cons->table(), cons->particles(), scr.mask);
+          }
+          const size_t ranked_count = cons->rank_all_k_into(
+              load, scr.ranked, restricted ? &scr.table_mask : nullptr);
+          if (restricted) {
+            counters_.incremental_replans.fetch_add(1, std::memory_order_relaxed);
+            obs::count("engine.incremental.replans");
+            obs::observe("engine.incremental.apply_us", now_us() - t0);
+          }
+
           // Walk the optimal consolidation ranking; candidates may fail the
           // bounded validation (capacities are invisible to the particle
           // reduction), so for every k we also probe capacity-greedy and
@@ -737,10 +700,6 @@ EngineCounters PlanEngine::counters() const {
   c.cache_misses = counters_.cache_misses.load(std::memory_order_relaxed);
   c.incremental_replans =
       counters_.incremental_replans.load(std::memory_order_relaxed);
-  c.incremental_cold_builds =
-      counters_.incremental_cold_builds.load(std::memory_order_relaxed);
-  c.incremental_event_rebuilds =
-      counters_.incremental_event_rebuilds.load(std::memory_order_relaxed);
   c.memo_hits = counters_.memo_hits.load(std::memory_order_relaxed);
   c.memo_misses = counters_.memo_misses.load(std::memory_order_relaxed);
   c.memo_segment_fallbacks =

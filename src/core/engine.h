@@ -51,7 +51,6 @@ class SpanContext;
 
 namespace coolopt::core {
 
-class IncrementalConsolidator;
 struct SolveScratch;
 
 /// One planning query: which policy, how much load (files/s).
@@ -157,14 +156,13 @@ struct EngineCounters {
   uint64_t batch_requests = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Restricted (quarantine) solves served by the incremental Algorithm 1
+  /// Restricted (quarantine) solves ranked through the masked Algorithm 1
   /// table instead of the windowed-probe fallback.
   uint64_t incremental_replans = 0;
-  /// Full pair-enumeration rebuilds of the incremental table (first use,
-  /// or a delta so large that starting over is cheaper).
+  /// Retired: the masked table has no per-quarantine copy to rebuild.
+  /// Always 0; kept only because coolbench still reads it.
   uint64_t incremental_cold_builds = 0;
-  /// Deltas where the collapsed event list changed, forcing a segment
-  /// re-sort instead of the order-patching fast path.
+  /// Retired with incremental_cold_builds: always 0.
   uint64_t incremental_event_rebuilds = 0;
   /// Optimal-consolidation solves answered from the (k, segment) memo with
   /// a single verified closed-form solve instead of the full ranked walk.
@@ -277,8 +275,6 @@ class PlanEngine {
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> cache_misses{0};
     std::atomic<uint64_t> incremental_replans{0};
-    std::atomic<uint64_t> incremental_cold_builds{0};
-    std::atomic<uint64_t> incremental_event_rebuilds{0};
     std::atomic<uint64_t> memo_hits{0};
     std::atomic<uint64_t> memo_misses{0};
     std::atomic<uint64_t> memo_segment_fallbacks{0};
@@ -291,10 +287,10 @@ class PlanEngine {
 
   /// `allowed` restricts planning to a machine subset (nullptr == the whole
   /// fleet); used by quarantine-aware solves. When the particle reduction
-  /// applies, restricted solves rank subsets through the incremental
-  /// Algorithm 1 table (delta-maintained across quarantine churn);
-  /// heterogeneous fleets fall back to the windowed-probe path. Writes the
-  /// plan into `out` (buffers reused); false = no feasible plan.
+  /// applies, restricted solves rank subsets through the cached Algorithm 1
+  /// table under a mask of the allowed machines; heterogeneous fleets fall
+  /// back to the windowed-probe path. Writes the plan into `out` (buffers
+  /// reused); false = no feasible plan.
   bool compute_plan_into(const Scenario& s, double load,
                          const std::vector<size_t>* allowed,
                          SolveScratch& scratch, Plan& out) const;
@@ -304,15 +300,6 @@ class PlanEngine {
   /// the result provably equals the full ranked walk's (the walk's own
   /// pure/bounds/branch-and-bound acceptance conditions are re-checked).
   bool try_memo_plan(double load, SolveScratch& scratch, Allocation& out) const;
-  /// Consolidation ranking over the active subset via the delta-maintained
-  /// Algorithm 1 table, into a grow-only buffer (entries [0, count)).
-  /// False when the particle reduction does not apply (heterogeneous
-  /// w1/w2). Thread-safe; the table is a pure function of the mask, so
-  /// concurrent callers with different masks still see deterministic
-  /// rankings.
-  bool incremental_rank_into(const std::vector<char>& active_mask, double load,
-                             std::vector<ConsolidationChoice>& out,
-                             size_t& count) const;
   /// Optimal split over a fixed ON set: closed form, LP fallback. Writes
   /// into `out` (false = infeasible); workspaces from `scratch`.
   bool plan_optimal_into(const size_t* on_set, size_t count, double load,
@@ -335,17 +322,14 @@ class PlanEngine {
   mutable std::unique_ptr<EventConsolidator> consolidator_;
   mutable std::once_flag particles_once_;
   mutable std::unique_ptr<ParticleSystem> particles_;
-  mutable std::mutex incremental_mu_;
-  mutable std::unique_ptr<IncrementalConsolidator> incremental_;
 
   /// Memoized (k << 32 | segment) keys for which the full consolidation
   /// walk previously reduced to its ranked head with a pure closed form and
   /// an immediate branch-and-bound cutoff. Presence is a *promise to
   /// re-verify*, not to trust: the hit path re-runs the acceptance checks
   /// at the requested load, so stale entries cost a fallback, never a wrong
-  /// plan. Restricted (quarantine) solves bypass the memo entirely — the
-  /// keys index the immutable full-fleet table, so membership deltas need
-  /// no invalidation here. Bounded (cleared at 4096 entries).
+  /// plan. Restricted (quarantine) solves bypass the memo entirely (the
+  /// keys index the unmasked table). Bounded (cleared at 4096 entries).
   mutable std::mutex memo_mu_;
   mutable std::unordered_set<uint64_t> memo_;
 

@@ -17,7 +17,7 @@ size_t SolveScratch::bytes() const {
               memo_on_set.capacity()) *
                  sizeof(size_t) +
              quarantined_mask.capacity() + mask.capacity();
-  b += ranked.capacity() * sizeof(ConsolidationChoice);
+  b += ranked.capacity() * sizeof(ConsolidationChoice) + table_mask.bytes();
   for (const ConsolidationChoice& c : ranked) {
     b += c.on_set.capacity() * sizeof(size_t);
   }

@@ -40,6 +40,8 @@ struct SolveScratch {
   std::vector<size_t> memo_on_set;      ///< memo fast-path head subset
   /// Consolidation ranking (grow-only; rank_all_k_into count is transient).
   std::vector<ConsolidationChoice> ranked;
+  /// Quarantine mask over the Algorithm 1 table (restricted solves).
+  detail::TableMask table_mask;
   // --- solver workspaces and result slots ---
   Allocation best_alloc;   ///< incumbent of the candidate walk
   Allocation trial_alloc;  ///< probe under evaluation (swapped on improve)

@@ -260,7 +260,7 @@ FleetPlanResult FleetEngine::solve(const FleetPlanRequest& request,
 
   // Surviving capacity per shard: the frontier is sampled on the healthy
   // room; quarantines tighten the cap here and are planned exactly by the
-  // shard's own (incremental) restricted solve.
+  // shard's own (masked) restricted solve.
   std::vector<double> healthy_caps(nshards, 0.0);
   for (size_t s = 0; s < nshards; ++s) {
     const core::RoomModel& m = *topology_.shards[s].model;

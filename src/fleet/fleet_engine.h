@@ -5,7 +5,7 @@
 // frontier, then cap every shard at its surviving capacity.
 // Level 2 (core::PlanEngine, one per shard): the paper's single-room
 // machinery — closed form, bounded LP, Algorithm 1/2 consolidation — runs
-// unchanged inside each shard, including the incremental quarantine path.
+// unchanged inside each shard, including the masked quarantine path.
 //
 // The frontier: for each shard and scenario the engine samples the shard's
 // own optimal solve at evenly spaced loads up to the shard capacity and

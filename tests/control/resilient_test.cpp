@@ -136,11 +136,12 @@ TEST(ResilientController, ShedsExplicitlyWhenDemandExceedsSurvivors) {
   EXPECT_GT(f.room.throughput_files_s(), 0.0);
 }
 
-// Quarantine churn must route through the engine's incremental Algorithm 1
-// path (engine.incremental.* counters), not the windowed-probe fallback.
-// The fitted sim model has jittered per-machine power coefficients, so the
-// test pins a uniform power model (the paper's assumption, and what the
-// incremental table requires) onto the same thermal fits.
+// Quarantine churn must route through the engine's masked Algorithm 1
+// ranking (the engine.incremental.replans counter), not the windowed-probe
+// fallback. The fitted sim model has jittered per-machine power
+// coefficients, so the test pins a uniform power model (the paper's
+// assumption, and what the Algorithm 1 table requires) onto the same
+// thermal fits.
 TEST(ResilientController, QuarantineReplansUseTheIncrementalEnginePath) {
   Fixture f;
   core::RoomModel uniform = f.profile.model;
@@ -158,7 +159,6 @@ TEST(ResilientController, QuarantineReplansUseTheIncrementalEnginePath) {
   ASSERT_GE(ctl.stats().quarantines, 1u);
   const core::EngineCounters counters = engine->counters();
   EXPECT_GT(counters.incremental_replans, 0u);
-  EXPECT_GT(counters.incremental_cold_builds, 0u);
 }
 
 TEST(FaultCampaign, SupervisorBeatsNoDefenseAndReplaysDeterministically) {

@@ -4,10 +4,10 @@
 // counting shim, which is why it is its own test executable: the override
 // is process-wide and must not perturb (or be perturbed by) any other
 // suite. The tests warm a PlanEngine, then assert that further warm solves
-// — serial solve_into, solve_batch_into over 200 requests on the default
-// pool, rebalance_into, and the consolidation query-best path — perform
-// ZERO heap allocations: every buffer lives in the grow-only SolveScratch
-// arena (or a caller-owned slot) after warm-up.
+// — serial solve_into, quarantined solve_into, solve_batch_into over 200
+// requests on the default pool, rebalance_into, and the consolidation
+// query-best path — perform ZERO heap allocations: every buffer lives in
+// the grow-only SolveScratch arena (or a caller-owned slot) after warm-up.
 //
 // The batch case retries a few times before judging: pool workers join a
 // parallel_for range on a wakeup, and a worker that slept through both
@@ -211,6 +211,41 @@ TEST(AllocGuard, WarmTracedSolveIsAllocationFree) {
   EXPECT_STREQ(spans.records()[1].name, "engine.solve");
   EXPECT_EQ(spans.records()[1].parent, 0);
   EXPECT_GE(spans.records()[0].dur_us, spans.records()[1].dur_us);
+}
+
+/// Quarantine churn at binding capacity: every request masks the one
+/// cached Algorithm 1 table with a quarantine set one machine away from the
+/// previous request's (the cycle closes on itself), and the masked segment
+/// views live in the scratch, so a warm cycle allocates nothing.
+TEST(AllocGuard, WarmQuarantinedSolveIsAllocationFree) {
+  core::SyntheticModelOptions opt;
+  opt.machines = 200;
+  opt.seed = 7;
+  const core::PlanEngine engine(core::make_synthetic_model(opt));
+  const std::vector<std::vector<size_t>> quarantines = {
+      {3}, {3, 50}, {50}, {50, 120}, {120}, {120, 7}, {7}, {7, 3}};
+  std::vector<core::PlanRequest> requests;
+  for (size_t i = 0; i < quarantines.size(); ++i) {
+    const double frac = 0.3 + 0.05 * static_cast<double>(i);
+    requests.emplace_back(core::Scenario::by_number(8),
+                          engine.model().total_capacity() * frac,
+                          quarantines[i]);
+  }
+  core::SolveScratch& scratch = core::SolveScratch::local();
+  core::PlanResult slot;
+  for (int round = 0; round < 2; ++round) {
+    for (const core::PlanRequest& r : requests) {
+      engine.solve_into(r, scratch, slot);
+    }
+  }
+  const unsigned long long before = allocs();
+  for (const core::PlanRequest& r : requests) {
+    engine.solve_into(r, scratch, slot);
+  }
+  EXPECT_EQ(allocs() - before, 0u);
+  ASSERT_TRUE(slot.plan.has_value());
+  EXPECT_EQ(slot.shed_load, 0.0);
+  EXPECT_GE(engine.counters().incremental_replans, 3 * requests.size());
 }
 
 TEST(AllocGuard, WarmRebalanceIsAllocationFree) {

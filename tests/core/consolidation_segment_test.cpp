@@ -3,13 +3,12 @@
 //
 // Loads exactly AT segment breakpoints are the worst case for any
 // segment-indexed fast path: the operating segment must be the same one
-// solve_for_k, peek_k, and query_best all resolve, or a memoized plan
+// solve_for_k, peek_k, and query_best_into all resolve, or a memoized plan
 // could be materialized from a neighboring segment's order. These tests
 // pin the agreements bit-for-bit: peek_k's (segment, power) against
-// solve_for_k's, query_best against the full ranking's head, and the
-// _into variants against their allocating twins — across breakpoint
-// loads, single-segment (homogeneous) tables, and quarantine masks up to
-// fully-quarantined (width-zero) tables.
+// solve_for_k's and query_best_into against the full ranking's head —
+// across breakpoint loads, single-segment (homogeneous) tables, and
+// quarantine masks up to fully-quarantined (width-zero) masks.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "core/consolidation.h"
-#include "core/incremental.h"
 #include "core/synthetic.h"
 
 namespace {
@@ -82,21 +80,18 @@ void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
   EXPECT_EQ(solved->k, solved->on_set.size());
 }
 
-/// query_best (and its _into twin) must be exactly the ranking's head.
+/// query_best_into must be exactly the ranking's head, with or without a
+/// quarantine mask.
 void expect_best_matches_ranking(const core::detail::ConsolidationTable& table,
                                  const core::ParticleSystem& ps,
-                                 const core::RoomModel& model, double load) {
-  const std::optional<core::ConsolidationChoice> best =
-      table.query_best(ps, model, load);
-  const std::vector<core::ConsolidationChoice> ranked =
-      table.rank_all_k(ps, model, load);
-  ASSERT_EQ(best.has_value(), !ranked.empty()) << "load " << load;
-  core::ConsolidationChoice into;
-  const bool got = table.query_best_into(ps, model, load, into);
-  ASSERT_EQ(got, best.has_value()) << "load " << load;
-  if (!best.has_value()) return;
-  expect_identical(*best, ranked.front());
-  expect_identical(into, *best);
+                                 const core::RoomModel& model, double load,
+                                 core::detail::TableMask* mask = nullptr) {
+  std::vector<core::ConsolidationChoice> ranked;
+  ranked.resize(table.rank_all_k_into(ps, model, load, ranked, mask));
+  core::ConsolidationChoice best;
+  const bool got = table.query_best_into(ps, model, load, best, mask);
+  ASSERT_EQ(got, !ranked.empty()) << "load " << load;
+  if (got) expect_identical(best, ranked.front());
 }
 
 TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
@@ -183,47 +178,38 @@ TEST(ConsolidationSegment, SingleSegmentTableAnswersEveryLoad) {
 }
 
 TEST(ConsolidationSegment, QuarantineMasksAgreeWithQueryBest) {
-  const core::SharedRoomModel model =
-      core::share_model(synthetic_room(20));
-  core::IncrementalConsolidator inc(model);
-  std::vector<char> mask(model->size(), 1);
+  const core::RoomModel model = synthetic_room(20);
+  const core::EventConsolidator cons(model);
+  std::vector<char> keep(model.size(), 1);
+  core::detail::TableMask mask;
 
-  // Quarantine a growing prefix; at each step the patched table's
-  // query_best must be exactly the head of its full ranking, via both the
-  // allocating and the _into call shapes.
-  const double load = model->total_capacity() * 0.3;
-  for (size_t quarantined = 0; quarantined < model->size();
+  // Quarantine a growing prefix; at each step the masked query_best_into
+  // must be exactly the head of the masked ranking.
+  const double load = model.total_capacity() * 0.3;
+  for (size_t quarantined = 0; quarantined < model.size();
        quarantined += 3) {
-    for (size_t i = 0; i < quarantined; ++i) mask[i] = 0;
-    inc.set_active(mask);
-    const std::optional<core::ConsolidationChoice> best =
-        inc.query_best(load);
-    const std::vector<core::ConsolidationChoice> ranked =
-        inc.rank_all_k(load);
-    core::ConsolidationChoice into;
-    const bool got = inc.query_best_into(load, into);
-    ASSERT_EQ(best.has_value(), !ranked.empty());
-    ASSERT_EQ(got, best.has_value());
-    if (best.has_value()) {
-      expect_identical(*best, ranked.front());
-      expect_identical(into, *best);
-    }
+    for (size_t i = 0; i < quarantined; ++i) keep[i] = 0;
+    mask.reset(cons.table(), cons.particles(), keep);
+    EXPECT_EQ(cons.table().width(&mask), model.size() - quarantined);
+    expect_best_matches_ranking(cons.table(), cons.particles(), model, load,
+                                &mask);
   }
 }
 
 TEST(ConsolidationSegment, AllQuarantinedMaskIsCleanlyInfeasible) {
-  const core::SharedRoomModel model = core::share_model(synthetic_room(8));
-  core::IncrementalConsolidator inc(model);
-  const std::vector<char> none(model->size(), 0);
-  inc.set_active(none);
+  const core::RoomModel model = synthetic_room(8);
+  const core::EventConsolidator cons(model);
+  core::detail::TableMask mask;
+  mask.reset(cons.table(), cons.particles(),
+             std::vector<char>(model.size(), 0));
 
-  const double load = model->total_capacity() * 0.2;
-  EXPECT_FALSE(inc.query_best(load).has_value());
+  const double load = model.total_capacity() * 0.2;
+  EXPECT_EQ(cons.table().width(&mask), 0u);
   core::ConsolidationChoice into;
-  EXPECT_FALSE(inc.query_best_into(load, into));
-  EXPECT_TRUE(inc.rank_all_k(load).empty());
+  EXPECT_FALSE(cons.table().query_best_into(cons.particles(), model, load,
+                                            into, &mask));
   std::vector<core::ConsolidationChoice> buffer;
-  EXPECT_EQ(inc.rank_all_k_into(load, buffer), 0u);
+  EXPECT_EQ(cons.rank_all_k_into(load, buffer, &mask), 0u);
 }
 
 }  // namespace
